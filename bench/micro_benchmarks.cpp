@@ -1,12 +1,16 @@
 // google-benchmark microbenchmarks of the individual mechanisms: write-store
 // updates (the paper's §6.2 finding is that >95% of Backlog's overhead is
 // CPU time spent updating the WS), Bloom filter probes, run-file writes,
-// join throughput, B+-tree updates, and end-to-end point queries.
+// join throughput, k-way merges, maintenance, B+-tree updates, and
+// end-to-end point queries.
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
 
 #include "core/backlog_db.hpp"
 #include "core/join.hpp"
 #include "core/write_store.hpp"
+#include "lsm/merge.hpp"
 #include "lsm/run_file.hpp"
 #include "storage/btree.hpp"
 #include "storage/env.hpp"
@@ -92,14 +96,102 @@ void BM_RunWriterThroughput(benchmark::State& state) {
 BENCHMARK(BM_RunWriterThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_JoinGroup(benchmark::State& state) {
+  // The per-group pairing as OuterJoinStream runs it, into reused scratch.
   const std::vector<core::Epoch> froms = {1, 10, 20, 30, 40};
   const std::vector<core::Epoch> tos = {5, 15, 25, 35};
+  std::vector<std::pair<core::Epoch, core::Epoch>> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::join_group(make_key(9), froms, tos));
+    core::join_epochs(froms, tos, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_JoinGroup);
+
+void BM_MergeStream(benchmark::State& state) {
+  // k-way merge of run-file streams (warm cache), as compaction and queries
+  // drive it: 64k From records dealt round-robin over `inputs` runs.
+  const std::size_t inputs = static_cast<std::size_t>(state.range(0));
+  const std::uint64_t n = 65536;
+  storage::TempDir dir;
+  storage::Env env(dir.path());
+  env.set_sync(false);  // measure the algorithm, not the host disk
+  storage::BlockCache cache(64ull << 20, /*shards=*/1);
+  std::vector<std::unique_ptr<lsm::RunFile>> runs;
+  std::uint8_t rec[core::kFromRecordSize];
+  for (std::size_t r = 0; r < inputs; ++r) {
+    const std::string name = "m" + std::to_string(r) + ".run";
+    lsm::RunWriter w(env, name, core::kFromRecordSize, n / inputs);
+    for (std::uint64_t i = r; i < n; i += inputs) {
+      core::encode_from({make_key(i / 4, 2, i % 4), 1}, rec);
+      w.add({rec, sizeof(rec)}, i / 4);
+    }
+    w.finish();
+    runs.push_back(std::make_unique<lsm::RunFile>(env, name, cache));
+  }
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<lsm::RecordStream>> streams;
+    for (const auto& run : runs) streams.push_back(run->scan());
+    lsm::MergeStream merged(std::move(streams), core::kFromRecordSize);
+    std::uint64_t sum = 0;
+    for (; merged.valid(); merged.next()) sum += merged.record()[7];
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_MergeStream)->Arg(2)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+void BM_Maintain(benchmark::State& state) {
+  // One maintenance pass over a fixed aged volume: a Combined RS from an
+  // earlier pass plus 24 CPs of Level-0 From/To runs, with snapshots that
+  // keep part of the history alive. Every iteration restores the volume
+  // from a template copy (untimed); items are input records.
+  storage::TempDir dir;
+  const std::filesystem::path tmpl = dir.path() / "template";
+  {
+    storage::Env env(tmpl);
+    env.set_sync(false);
+    core::BacklogDb db(env);
+    util::Rng rng(7);
+    std::vector<core::BackrefKey> live;
+    for (int cp = 1; cp <= 48; ++cp) {
+      for (int op = 0; op < 2000; ++op) {
+        if (live.empty() || rng.chance(0.6)) {
+          live.push_back(make_key(rng.below(50000), 2 + rng.below(64),
+                                  rng.below(1024)));
+          db.add_reference(live.back());
+        } else {
+          const std::size_t i = rng.below(live.size());
+          db.remove_reference(live[i]);
+          live[i] = live.back();
+          live.pop_back();
+        }
+      }
+      db.consistency_point();
+      if (cp % 8 == 0) db.registry().take_snapshot(0);
+      if (cp == 24) db.maintain();
+    }
+  }
+  std::uint64_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::filesystem::path vol = dir.path() / "vol";
+    std::filesystem::remove_all(vol);
+    std::filesystem::copy(tmpl, vol, std::filesystem::copy_options::recursive);
+    {
+      storage::Env env(vol);
+      env.set_sync(false);
+      core::BacklogDb db(env);
+      state.ResumeTiming();
+      records += db.maintain().input_records;
+      state.PauseTiming();
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_Maintain)->Unit(benchmark::kMillisecond);
 
 void BM_BTreePut(benchmark::State& state) {
   storage::TempDir dir;
@@ -126,7 +218,8 @@ void BM_BacklogUpdatePath(benchmark::State& state) {
   core::BacklogDb db(env);
   std::uint64_t b = 0, since_cp = 0;
   for (auto _ : state) {
-    db.add_reference(make_key(b++ % 100000, 2 + b % 7, b % 64));
+    const std::uint64_t i = b++;
+    db.add_reference(make_key(i % 100000, 2 + i % 7, i % 64));
     if (++since_cp == 2000) {
       db.consistency_point();
       since_cp = 0;

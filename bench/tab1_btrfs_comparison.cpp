@@ -43,15 +43,6 @@ std::uint64_t fs_pages_for(std::uint64_t dirty_blocks,
 }
 
 enum class Config { kBase, kOriginal, kBacklog };
-const char* config_name(Config c) {
-  switch (c) {
-    case Config::kBase: return "Base";
-    case Config::kOriginal: return "Original";
-    case Config::kBacklog: return "Backlog";
-  }
-  return "?";
-}
-
 RunResult run_micro(Config config, bool create_phase,
                     std::uint64_t file_blocks, std::uint64_t ops_per_cp,
                     std::uint64_t total_files) {

@@ -693,28 +693,29 @@ void BacklogDb::maintain_one(std::uint64_t pid, Partition& part,
                                options_.bloom_max_bytes);
 
     while (merged.valid()) {
-      const CombinedRecord rec = decode_combined(merged.record().data());
+      // The fields the purge rule needs are read in place; surviving
+      // records go to the writers as the merged bytes themselves.
+      const std::span<const std::uint8_t> rec = merged.record();
+      const BlockNo block = util::get_be64(rec.data());
+      const LineId line = util::get_be64(rec.data() + kLineOffset);
+      const Epoch from = util::get_be64(rec.data() + kKeySize);
+      const Epoch to = util::get_be64(rec.data() + kKeySize + 8);
       // Purge rule (§5.2): a record is dead when no retained version, zombie
       // or clone branch point falls inside its interval. Structural-
       // inheritance override records (from == 0) are the exception — they
       // gate expansion for their line, so they must survive until the line
       // itself is forgotten, even if no retained version observes them.
-      const bool alive =
-          rec.is_override()
-              ? registry_.line_exists(rec.key.line)
-              : registry_.interval_protected(rec.key.line, rec.from, rec.to);
+      const bool alive = from == 0 ? registry_.line_exists(line)
+                                   : registry_.interval_protected(line, from, to);
       if (!alive) {
         ++s.purged;
-      } else if (rec.to == kInfinity) {
-        // Incomplete records live in the new From RS (§5.2).
-        std::uint8_t buf[kFromRecordSize];
-        encode_from(FromRecord{rec.key, rec.from}, buf);
-        from_writer.add({buf, kFromRecordSize}, rec.key.block);
+      } else if (to == kInfinity) {
+        // Incomplete records live in the new From RS (§5.2); a From record
+        // is the Combined record's (key, from) prefix.
+        from_writer.add(rec.first(kFromRecordSize), block);
         ++s.output_incomplete;
       } else {
-        std::uint8_t buf[kCombinedRecordSize];
-        encode_combined(rec, buf);
-        combined_writer.add({buf, kCombinedRecordSize}, rec.key.block);
+        combined_writer.add(rec, block);
         ++s.output_complete;
       }
       merged.next();

@@ -83,6 +83,7 @@ struct Update {
 };
 
 inline constexpr std::size_t kKeySize = 40;
+inline constexpr std::size_t kLineOffset = 32;  ///< line id within the key
 inline constexpr std::size_t kFromRecordSize = 48;
 inline constexpr std::size_t kToRecordSize = 48;
 inline constexpr std::size_t kCombinedRecordSize = 56;
@@ -92,7 +93,7 @@ inline void encode_key(const BackrefKey& k, std::uint8_t* dst) noexcept {
   util::put_be64(dst + 8, k.inode);
   util::put_be64(dst + 16, k.offset);
   util::put_be64(dst + 24, k.length);
-  util::put_be64(dst + 32, k.line);
+  util::put_be64(dst + kLineOffset, k.line);
 }
 
 inline BackrefKey decode_key(const std::uint8_t* src) noexcept {
@@ -101,7 +102,7 @@ inline BackrefKey decode_key(const std::uint8_t* src) noexcept {
   k.inode = util::get_be64(src + 8);
   k.offset = util::get_be64(src + 16);
   k.length = util::get_be64(src + 24);
-  k.line = util::get_be64(src + 32);
+  k.line = util::get_be64(src + kLineOffset);
   return k;
 }
 

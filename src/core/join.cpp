@@ -5,18 +5,16 @@
 
 namespace backlog::core {
 
-std::vector<CombinedRecord> join_group(const BackrefKey& key,
-                                       const std::vector<Epoch>& froms,
-                                       const std::vector<Epoch>& tos) {
-  std::vector<CombinedRecord> out;
-  out.reserve(std::max(froms.size(), tos.size()));
+void join_epochs(std::span<const Epoch> froms, std::span<const Epoch> tos,
+                 std::vector<std::pair<Epoch, Epoch>>& out) {
+  out.clear();
   std::size_t ti = 0;
   for (const Epoch f : froms) {
     // To entries strictly before this From can no longer match it, nor any
     // later From (froms ascend) — they are structural-inheritance overrides
     // that join the implicit from = 0.
     while (ti < tos.size() && tos[ti] < f) {
-      out.push_back({key, 0, tos[ti]});
+      out.emplace_back(0, tos[ti]);
       ++ti;
     }
     if (ti < tos.size() && tos[ti] == f) {
@@ -27,14 +25,24 @@ std::vector<CombinedRecord> join_group(const BackrefKey& key,
       continue;
     }
     if (ti < tos.size()) {
-      out.push_back({key, f, tos[ti]});
+      out.emplace_back(f, tos[ti]);
       ++ti;
     } else {
-      out.push_back({key, f, kInfinity});  // incomplete (live) record
+      out.emplace_back(f, kInfinity);  // incomplete (live) record
     }
   }
-  for (; ti < tos.size(); ++ti) out.push_back({key, 0, tos[ti]});
+  for (; ti < tos.size(); ++ti) out.emplace_back(0, tos[ti]);
   std::sort(out.begin(), out.end());
+}
+
+std::vector<CombinedRecord> join_group(const BackrefKey& key,
+                                       const std::vector<Epoch>& froms,
+                                       const std::vector<Epoch>& tos) {
+  std::vector<std::pair<Epoch, Epoch>> intervals;
+  join_epochs(froms, tos, intervals);
+  std::vector<CombinedRecord> out;
+  out.reserve(intervals.size());
+  for (const auto& [from, to] : intervals) out.push_back({key, from, to});
   return out;
 }
 
@@ -58,41 +66,49 @@ void OuterJoinStream::next() {
 void OuterJoinStream::refill() {
   group_out_.clear();
   pos_ = 0;
-  const bool from_ok = from_ != nullptr && from_->valid();
-  const bool to_ok = to_ != nullptr && to_->valid();
-  if (!from_ok && !to_ok) return;
+  const std::uint8_t* from_rec =
+      from_ != nullptr && from_->valid() ? from_->record().data() : nullptr;
+  const std::uint8_t* to_rec =
+      to_ != nullptr && to_->valid() ? to_->record().data() : nullptr;
+  // A group whose entries all annihilate (from == to) yields nothing; keep
+  // going, or the stream would end before its inputs do.
+  while (group_out_.empty() && (from_rec != nullptr || to_rec != nullptr)) {
+    // The next group is the smaller of the two heads' 40-byte key prefixes,
+    // copied out because the head it came from is about to advance.
+    std::uint8_t group_key[kKeySize];
+    const std::uint8_t* smaller =
+        from_rec == nullptr ? to_rec
+        : to_rec == nullptr ? from_rec
+        : std::memcmp(from_rec, to_rec, kKeySize) <= 0 ? from_rec
+                                                       : to_rec;
+    std::memcpy(group_key, smaller, kKeySize);
 
-  // The next group is the smaller of the two heads' 40-byte key prefixes.
-  std::uint8_t group_key[kKeySize];
-  if (from_ok && to_ok) {
-    const int c = std::memcmp(from_->record().data(), to_->record().data(),
-                              kKeySize);
-    std::memcpy(group_key, (c <= 0 ? from_ : to_)->record().data(), kKeySize);
-  } else if (from_ok) {
-    std::memcpy(group_key, from_->record().data(), kKeySize);
-  } else {
-    std::memcpy(group_key, to_->record().data(), kKeySize);
-  }
-  const BackrefKey key = decode_key(group_key);
+    // Each head is read once per step. Run-file streams deliver epochs
+    // ascending within a key group (epoch is the record suffix), and merged
+    // streams preserve that.
+    froms_.clear();
+    while (from_rec != nullptr &&
+           std::memcmp(from_rec, group_key, kKeySize) == 0) {
+      froms_.push_back(util::get_be64(from_rec + kKeySize));
+      from_->next();
+      from_rec = from_->valid() ? from_->record().data() : nullptr;
+    }
+    tos_.clear();
+    while (to_rec != nullptr && std::memcmp(to_rec, group_key, kKeySize) == 0) {
+      tos_.push_back(util::get_be64(to_rec + kKeySize));
+      to_->next();
+      to_rec = to_->valid() ? to_->record().data() : nullptr;
+    }
 
-  std::vector<Epoch> froms;
-  while (from_ != nullptr && from_->valid() &&
-         std::memcmp(from_->record().data(), group_key, kKeySize) == 0) {
-    froms.push_back(decode_from(from_->record().data()).from);
-    from_->next();
-  }
-  std::vector<Epoch> tos;
-  while (to_ != nullptr && to_->valid() &&
-         std::memcmp(to_->record().data(), group_key, kKeySize) == 0) {
-    tos.push_back(decode_to(to_->record().data()).to);
-    to_->next();
-  }
-  // Run-file streams already deliver epochs ascending within a key group
-  // (epoch is the record suffix); merged streams preserve that.
-  const std::vector<CombinedRecord> joined = join_group(key, froms, tos);
-  group_out_.resize(joined.size() * kCombinedRecordSize);
-  for (std::size_t i = 0; i < joined.size(); ++i) {
-    encode_combined(joined[i], group_out_.data() + i * kCombinedRecordSize);
+    join_epochs(froms_, tos_, joined_);
+    group_out_.resize(joined_.size() * kCombinedRecordSize);
+    std::uint8_t* out = group_out_.data();
+    for (const auto& [from, to] : joined_) {
+      std::memcpy(out, group_key, kKeySize);
+      util::put_be64(out + kKeySize, from);
+      util::put_be64(out + kKeySize + 8, to);
+      out += kCombinedRecordSize;
+    }
   }
 }
 

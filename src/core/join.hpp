@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/backref_record.hpp"
@@ -38,13 +40,22 @@ class OuterJoinStream final : public lsm::RecordStream {
 
   std::unique_ptr<lsm::RecordStream> from_;
   std::unique_ptr<lsm::RecordStream> to_;
+  // Per-group scratch, reused across groups so a refill allocates nothing
+  // once the vectors have grown to the largest group seen.
+  std::vector<Epoch> froms_;
+  std::vector<Epoch> tos_;
+  std::vector<std::pair<Epoch, Epoch>> joined_;
   std::vector<std::uint8_t> group_out_;  // encoded Combined records
   std::size_t pos_ = 0;                  // byte offset into group_out_
 };
 
-/// Pure-function form of the per-group pairing, used by OuterJoinStream and
-/// unit-tested directly: `froms`/`tos` are the epochs of one key group,
-/// sorted ascending. Returns [from, to) intervals sorted by (from, to).
+/// The per-group pairing: `froms`/`tos` are the epochs of one key group,
+/// sorted ascending. Replaces `out` with the [from, to) intervals sorted
+/// ascending.
+void join_epochs(std::span<const Epoch> froms, std::span<const Epoch> tos,
+                 std::vector<std::pair<Epoch, Epoch>>& out);
+
+/// join_epochs() as Combined records of `key`; unit-tested directly.
 std::vector<CombinedRecord> join_group(const BackrefKey& key,
                                        const std::vector<Epoch>& froms,
                                        const std::vector<Epoch>& tos);

@@ -8,70 +8,55 @@ MergeStream::MergeStream(std::vector<std::unique_ptr<RecordStream>> inputs,
                          std::size_t record_size)
     : inputs_(std::move(inputs)), record_size_(record_size) {
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (inputs_[i] != nullptr && inputs_[i]->valid()) heap_.push_back(i);
+    if (inputs_[i] != nullptr && inputs_[i]->valid())
+      heap_.push_back({inputs_[i]->record().data(), i});
   }
-  heapify();
+  for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i);
 }
 
-bool MergeStream::less(std::size_t a, std::size_t b) const {
-  const auto ra = inputs_[heap_[a]]->record();
-  const auto rb = inputs_[heap_[b]]->record();
-  const int c = std::memcmp(ra.data(), rb.data(), record_size_);
+bool MergeStream::less(const Head& a, const Head& b) const {
+  const int c = std::memcmp(a.rec, b.rec, record_size_);
   if (c != 0) return c < 0;
-  // Tie-break on input index for a deterministic merge order.
-  return heap_[a] < heap_[b];
+  return a.input < b.input;
 }
 
 void MergeStream::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
+  const Head moving = heap_[i];
   while (true) {
-    std::size_t smallest = i;
-    const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-    if (l < n && less(l, smallest)) smallest = l;
-    if (r < n && less(r, smallest)) smallest = r;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    const std::size_t l = 2 * i + 1;
+    if (l >= n) break;
+    std::size_t child = l;
+    if (l + 1 < n && less(heap_[l + 1], heap_[l])) child = l + 1;
+    if (!less(heap_[child], moving)) break;
+    heap_[i] = heap_[child];
+    i = child;
   }
-}
-
-void MergeStream::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!less(i, parent)) return;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void MergeStream::heapify() {
-  for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i);
-}
-
-bool MergeStream::valid() const { return !heap_.empty(); }
-
-std::span<const std::uint8_t> MergeStream::record() const {
-  return inputs_[heap_.front()]->record();
+  heap_[i] = moving;
 }
 
 void MergeStream::next() {
-  RecordStream& top = *inputs_[heap_.front()];
-  top.next();
-  if (!top.valid()) {
-    heap_.front() = heap_.back();
+  Head& top = heap_.front();
+  RecordStream& in = *inputs_[top.input];
+  in.next();
+  if (in.valid()) {
+    top.rec = in.record().data();
+  } else {
+    top = heap_.back();
     heap_.pop_back();
+    if (heap_.empty()) return;
   }
-  if (!heap_.empty()) sift_down(0);
+  sift_down(0);
 }
 
 DedupStream::DedupStream(std::unique_ptr<RecordStream> in, std::size_t record_size)
-    : in_(std::move(in)), record_size_(record_size) {}
+    : in_(std::move(in)), record_size_(record_size), prev_(record_size) {}
 
 void DedupStream::next() {
-  std::vector<std::uint8_t> cur(in_->record().begin(), in_->record().end());
+  std::memcpy(prev_.data(), in_->record().data(), record_size_);
   in_->next();
   while (in_->valid() &&
-         std::memcmp(cur.data(), in_->record().data(), record_size_) == 0) {
+         std::memcmp(prev_.data(), in_->record().data(), record_size_) == 0) {
     in_->next();
   }
 }

@@ -7,6 +7,7 @@
 // and those epochs are part of the record bytes anyway).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -20,18 +21,26 @@ class MergeStream final : public RecordStream {
   MergeStream(std::vector<std::unique_ptr<RecordStream>> inputs,
               std::size_t record_size);
 
-  [[nodiscard]] bool valid() const override;
-  [[nodiscard]] std::span<const std::uint8_t> record() const override;
+  [[nodiscard]] bool valid() const override { return !heap_.empty(); }
+  [[nodiscard]] std::span<const std::uint8_t> record() const override {
+    return {heap_.front().rec, record_size_};
+  }
   void next() override;
 
  private:
+  // One live input's current record. The pointer is read once per advance
+  // of that input and stays valid until its next next() (the RecordStream
+  // lifetime contract), so heap comparisons never call record().
+  struct Head {
+    const std::uint8_t* rec;
+    std::size_t input;  // index into inputs_; breaks ties deterministically
+  };
+
   void sift_down(std::size_t i);
-  void sift_up(std::size_t i);
-  [[nodiscard]] bool less(std::size_t a, std::size_t b) const;
-  void heapify();
+  [[nodiscard]] bool less(const Head& a, const Head& b) const;
 
   std::vector<std::unique_ptr<RecordStream>> inputs_;
-  std::vector<std::size_t> heap_;  // indexes into inputs_; min-heap by record
+  std::vector<Head> heap_;  // min-heap by (record, input)
   std::size_t record_size_;
 };
 
@@ -50,6 +59,7 @@ class DedupStream final : public RecordStream {
  private:
   std::unique_ptr<RecordStream> in_;
   std::size_t record_size_;
+  std::vector<std::uint8_t> prev_;  // the record being skipped past
 };
 
 }  // namespace backlog::lsm

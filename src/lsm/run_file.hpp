@@ -34,6 +34,13 @@ namespace backlog::lsm {
 
 /// Abstract sorted stream of fixed-size records; the unit of composition for
 /// merges (runs, write-store snapshots, filters all speak this interface).
+///
+/// Lifetime contract: the span record() returns stays valid until the next
+/// call to next() on the *same* stream (or its destruction). Advancing any
+/// other stream does not invalidate it, and neither does block-cache
+/// eviction: a run-file stream holds a shared_ptr to its current page, which
+/// pins the page's bytes. MergeStream and OuterJoinStream rely on this to
+/// read each input's record once per advance and keep the pointer.
 class RecordStream {
  public:
   virtual ~RecordStream() = default;
