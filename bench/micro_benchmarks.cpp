@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the individual mechanisms: write-store
 // updates (the paper's §6.2 finding is that >95% of Backlog's overhead is
 // CPU time spent updating the WS), Bloom filter probes, run-file writes,
-// join throughput, k-way merges, maintenance, B+-tree updates, and
-// end-to-end point queries.
+// join throughput, k-way merges, run-file scans, maintenance, B+-tree
+// updates, and end-to-end point queries.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -141,6 +141,45 @@ void BM_MergeStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_MergeStream)->Arg(2)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+void BM_RunFileScan(benchmark::State& state) {
+  // Full scan of a 4,000-leaf-page run: Arg 0 the cached RunFile::Stream
+  // through a 1,024-page BlockCache (every page misses, inserts and evicts:
+  // what maintenance paid before it had its own path), Arg 1 the sequential
+  // stream maintenance uses now. The file stays in the OS page cache, so
+  // this times the read path's CPU and syscalls, not the disk.
+  const bool sequential = state.range(0) != 0;
+  storage::TempDir dir;
+  storage::Env env(dir.path());
+  env.set_sync(false);
+  storage::BlockCache cache(1024 * storage::kPageSize, /*shards=*/1);
+  const std::uint64_t n =
+      4000 * (storage::kPageSize / core::kFromRecordSize);
+  std::uint8_t rec[core::kFromRecordSize];
+  {
+    lsm::RunWriter w(env, "scan.run", core::kFromRecordSize, n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      core::encode_from({make_key(i / 4, 2, i % 4), 1}, rec);
+      w.add({rec, sizeof(rec)}, i / 4);
+    }
+    w.finish();
+  }
+  lsm::RunFile run(env, "scan.run", cache);
+  for (auto _ : state) {
+    std::unique_ptr<lsm::RecordStream> s;
+    if (sequential) {
+      s = run.sequential_from(0);
+    } else {
+      s = run.scan();
+    }
+    std::uint64_t sum = 0;
+    for (; s->valid(); s->next()) sum += s->record()[7];
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.SetLabel(sequential ? "sequential" : "cached");
+}
+BENCHMARK(BM_RunFileScan)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_Maintain(benchmark::State& state) {
   // One maintenance pass over a fixed aged volume: a Combined RS from an

@@ -38,25 +38,39 @@ std::size_t record_size_of(std::uint8_t table) {
 }
 
 /// Limits a run stream to records with block < block_hi and keeps the run
-/// file handle alive for the stream's lifetime.
+/// file handle alive for the stream's lifetime. The inner record is read and
+/// the bound tested once per advance; valid() and record() return the
+/// cached result (the RecordStream lifetime contract keeps it current).
 class BoundedStream final : public lsm::RecordStream {
  public:
   BoundedStream(std::shared_ptr<lsm::RunFile> run,
                 std::unique_ptr<lsm::RecordStream> in, BlockNo block_hi)
-      : run_(std::move(run)), in_(std::move(in)), block_hi_(block_hi) {}
+      : run_(std::move(run)), in_(std::move(in)), block_hi_(block_hi) {
+    load_head();
+  }
 
-  [[nodiscard]] bool valid() const override {
-    return in_->valid() && util::get_be64(in_->record().data()) < block_hi_;
-  }
+  [[nodiscard]] bool valid() const override { return valid_; }
   [[nodiscard]] std::span<const std::uint8_t> record() const override {
-    return in_->record();
+    return rec_;
   }
-  void next() override { in_->next(); }
+  void next() override {
+    in_->next();
+    load_head();
+  }
 
  private:
+  void load_head() {
+    valid_ = in_->valid();
+    if (!valid_) return;
+    rec_ = in_->record();
+    valid_ = util::get_be64(rec_.data()) < block_hi_;
+  }
+
   std::shared_ptr<lsm::RunFile> run_;
   std::unique_ptr<lsm::RecordStream> in_;
   BlockNo block_hi_;
+  std::span<const std::uint8_t> rec_;
+  bool valid_ = false;
 };
 
 }  // namespace
@@ -369,7 +383,7 @@ bool BacklogDb::run_may_intersect(const RunMeta& meta, BlockNo block_lo,
 
 std::unique_ptr<lsm::RecordStream> BacklogDb::table_stream(
     const Partition& part, Table table, BlockNo block_lo, BlockNo block_hi,
-    bool include_ws) {
+    bool include_ws, RunRead read) {
   const auto& runs = table == Table::kFrom   ? part.from_runs
                      : table == Table::kTo   ? part.to_runs
                                              : part.combined_runs;
@@ -381,7 +395,16 @@ std::unique_ptr<lsm::RecordStream> BacklogDb::table_stream(
   for (const auto& meta : runs) {
     if (!run_may_intersect(*meta, block_lo, block_hi)) continue;
     std::shared_ptr<lsm::RunFile> rf = open_run(*meta);
-    auto stream = rf->seek({prefix, 8});
+    std::unique_ptr<lsm::RecordStream> stream;
+    if (read == RunRead::kCached) {
+      stream = rf->seek({prefix, 8});
+    } else {
+      // Runs never straddle partitions, so a partition-wide read starts at
+      // record 0 and needs no index descent through the cache.
+      const BlockNo min_block = util::get_be64(meta->min_rec.data());
+      stream = rf->sequential_from(
+          min_block >= block_lo ? 0 : rf->lower_bound({prefix, 8}));
+    }
     inputs.push_back(std::make_unique<BoundedStream>(std::move(rf),
                                                      std::move(stream), block_hi));
   }
@@ -421,12 +444,14 @@ std::vector<CombinedRecord> BacklogDb::collect_raw(BlockNo block_lo,
         it != partitions_.end() ? it->second : kEmptyPartition;
 
     auto join = std::make_unique<OuterJoinStream>(
-        table_stream(part, Table::kFrom, scan_lo, block_hi, true),
-        table_stream(part, Table::kTo, scan_lo, block_hi, true));
+        table_stream(part, Table::kFrom, scan_lo, block_hi, true,
+                     RunRead::kCached),
+        table_stream(part, Table::kTo, scan_lo, block_hi, true,
+                     RunRead::kCached));
     std::vector<std::unique_ptr<lsm::RecordStream>> inputs;
     inputs.push_back(std::move(join));
     inputs.push_back(table_stream(part, Table::kCombined, scan_lo, block_hi,
-                                  false));
+                                  false, RunRead::kCached));
     lsm::MergeStream merged(std::move(inputs), kCombinedRecordSize);
     while (merged.valid()) {
       CombinedRecord rec = decode_combined(merged.record().data());
@@ -544,8 +569,8 @@ void BacklogDb::merge_run_batches(std::vector<std::shared_ptr<RunMeta>>& runs,
       std::uint64_t total_records = 0;
       for (std::size_t i = chunk; i < chunk_end; ++i) {
         std::shared_ptr<lsm::RunFile> rf = open_run(*runs[i]);
-        inputs.push_back(
-            std::make_unique<BoundedStream>(rf, rf->scan(), UINT64_MAX));
+        inputs.push_back(std::make_unique<BoundedStream>(
+            rf, rf->sequential_from(0), UINT64_MAX));
         total_records += runs[i]->record_count;
       }
       lsm::MergeStream merged(std::move(inputs), record_size);
@@ -672,12 +697,14 @@ void BacklogDb::maintain_one(std::uint64_t pid, Partition& part,
     // Join all From runs against all To runs, then merge with the previous
     // Combined RS (Fig. 4's query plan).
     auto join = std::make_unique<OuterJoinStream>(
-        table_stream(part, Table::kFrom, block_lo, block_hi, false),
-        table_stream(part, Table::kTo, block_lo, block_hi, false));
+        table_stream(part, Table::kFrom, block_lo, block_hi, false,
+                     RunRead::kSequential),
+        table_stream(part, Table::kTo, block_lo, block_hi, false,
+                     RunRead::kSequential));
     std::vector<std::unique_ptr<lsm::RecordStream>> inputs;
     inputs.push_back(std::move(join));
-    inputs.push_back(
-        table_stream(part, Table::kCombined, block_lo, block_hi, false));
+    inputs.push_back(table_stream(part, Table::kCombined, block_lo, block_hi,
+                                  false, RunRead::kSequential));
     lsm::MergeStream merged(std::move(inputs), kCombinedRecordSize);
 
     const std::string combined_name = new_run_name(Table::kCombined, pid);
@@ -788,7 +815,8 @@ std::uint64_t BacklogDb::relocate(BlockNo old_block, std::uint64_t length,
 
     auto rewrite = [&](Table table, std::vector<std::uint8_t>& out,
                        lsm::DeletionVector& vec, std::size_t rec_size) {
-      auto stream = table_stream(part, table, old_block, block_hi, false);
+      auto stream = table_stream(part, table, old_block, block_hi, false,
+                                 RunRead::kCached);
       while (stream->valid()) {
         const std::span<const std::uint8_t> rec = stream->record();
         vec.insert(rec);

@@ -370,13 +370,19 @@ class BacklogDb {
   // Compaction of a single partition; accumulates into `s`.
   void maintain_one(std::uint64_t pid, Partition& part, MaintenanceStats& s);
 
+  // How table_stream reads run files: kCached seeks and reads page by page
+  // through the block cache (queries, relocate); kSequential scans whole
+  // runs in chunks outside the cache (maintenance, which reads every page
+  // once and then deletes the run).
+  enum class RunRead : std::uint8_t { kCached, kSequential };
+
   // Query plumbing. Returns a sorted stream of records in
   // [block_lo, block_hi) for the given table within one partition, merged
   // across runs (+ WS for From/To) and filtered through the deletion vector.
   std::unique_ptr<lsm::RecordStream> table_stream(const Partition& part,
                                                   Table table, BlockNo block_lo,
                                                   BlockNo block_hi,
-                                                  bool include_ws);
+                                                  bool include_ws, RunRead read);
   [[nodiscard]] bool run_may_intersect(const RunMeta& meta, BlockNo block_lo,
                                        BlockNo block_hi) const;
   std::vector<CombinedRecord> collect_raw(BlockNo block_lo, BlockNo block_hi);

@@ -1,6 +1,7 @@
 #include "lsm/merge.hpp"
 
 #include <cstring>
+#include <utility>
 
 namespace backlog::lsm {
 
@@ -12,6 +13,7 @@ MergeStream::MergeStream(std::vector<std::unique_ptr<RecordStream>> inputs,
       heap_.push_back({inputs_[i]->record().data(), i});
   }
   for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i);
+  find_runner_up();
 }
 
 bool MergeStream::less(const Head& a, const Head& b) const {
@@ -35,18 +37,33 @@ void MergeStream::sift_down(std::size_t i) {
   heap_[i] = moving;
 }
 
+void MergeStream::find_runner_up() {
+  const std::size_t n = heap_.size();
+  if (n < 2) {
+    runner_up_ = 0;
+  } else {
+    runner_up_ = n > 2 && less(heap_[2], heap_[1]) ? 2 : 1;
+  }
+}
+
 void MergeStream::next() {
   Head& top = heap_.front();
   RecordStream& in = *inputs_[top.input];
   in.next();
   if (in.valid()) {
     top.rec = in.record().data();
+    if (runner_up_ == 0 || less(top, heap_[runner_up_])) return;
+    // The runner-up is the new minimum: it takes the root and the advanced
+    // head sinks from the runner-up's old slot.
+    std::swap(top, heap_[runner_up_]);
+    sift_down(runner_up_);
   } else {
     top = heap_.back();
     heap_.pop_back();
     if (heap_.empty()) return;
+    sift_down(0);
   }
-  sift_down(0);
+  find_runner_up();
 }
 
 DedupStream::DedupStream(std::unique_ptr<RecordStream> in, std::size_t record_size)

@@ -37,10 +37,15 @@ class MergeStream final : public RecordStream {
   };
 
   void sift_down(std::size_t i);
+  void find_runner_up();
   [[nodiscard]] bool less(const Head& a, const Head& b) const;
 
   std::vector<std::unique_ptr<RecordStream>> inputs_;
   std::vector<Head> heap_;  // min-heap by (record, input)
+  // Heap index of the root's smaller child, the second-best head (0 when the
+  // root has no child). An advanced input whose new head still sorts before
+  // it keeps the root after a single comparison.
+  std::size_t runner_up_ = 0;
   std::size_t record_size_;
 };
 

@@ -1,5 +1,6 @@
 #include "lsm/run_file.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -43,7 +44,6 @@ RunWriter::RunWriter(storage::Env& env, const std::string& file_name,
     throw std::invalid_argument("RunWriter: record_size out of range");
   records_per_page_ = kPageSize / record_size_;
   file_ = env_.create_file(file_name);
-  page_.assign(kPageSize, 0);
   levels_.emplace_back();  // I1 separators accumulate here
 }
 
@@ -61,8 +61,9 @@ void RunWriter::add(std::span<const std::uint8_t> record, std::uint64_t bloom_ke
     // First record of a fresh leaf page: remember it as the I1 separator.
     levels_[0].insert(levels_[0].end(), record.begin(), record.end());
   }
-  std::memcpy(page_.data() + page_records_ * record_size_, record.data(),
-              record_size_);
+  std::memcpy(pages_.data() + buffered_pages_ * kPageSize +
+                  page_records_ * record_size_,
+              record.data(), record_size_);
   ++page_records_;
   ++count_;
   bloom_.insert(bloom_key);
@@ -71,16 +72,27 @@ void RunWriter::add(std::span<const std::uint8_t> record, std::uint64_t bloom_ke
 
 void RunWriter::flush_leaf_page() {
   if (page_records_ == 0) return;
-  file_->append(page_);
-  std::memset(page_.data(), 0, page_.size());
+  // Zero the bytes past the last record: the buffer starts uninitialised,
+  // and a reused page still holds an earlier chunk's records.
+  std::uint8_t* page = pages_.data() + buffered_pages_ * kPageSize;
+  std::memset(page + page_records_ * record_size_, 0,
+              kPageSize - page_records_ * record_size_);
   page_records_ = 0;
   ++leaf_pages_;
+  if (++buffered_pages_ == kIoChunkPages) append_leaf_pages();
+}
+
+void RunWriter::append_leaf_pages() {
+  if (buffered_pages_ == 0) return;
+  file_->append({pages_.data(), buffered_pages_ * kPageSize});
+  buffered_pages_ = 0;
 }
 
 std::uint64_t RunWriter::finish() {
   if (finished_) throw std::logic_error("RunWriter: double finish");
   finished_ = true;
   flush_leaf_page();
+  append_leaf_pages();
 
   // Build the remaining index levels purely from in-memory separators: level
   // k+1 holds the first entry of every level-k page. No reads required.
@@ -317,6 +329,44 @@ std::uint64_t RunFile::lower_bound(std::span<const std::uint8_t> prefix) const {
 
 std::span<const std::uint8_t> RunFile::Stream::record() const {
   return run_->record_at(pos_, page_, cached_page_no_);
+}
+
+RunFile::SequentialStream::SequentialStream(const RunFile& run,
+                                            std::uint64_t start)
+    : file_(*run.file_),
+      count_(run.record_count_),
+      leaf_pages_(run.leaf_pages_),
+      record_size_(run.record_size_),
+      records_per_page_(run.records_per_page_),
+      pos_(start) {
+  if (pos_ >= count_) return;  // past the end: reads and charges nothing
+  const std::uint64_t page = pos_ / records_per_page_;
+  buf_.resize(std::min<std::uint64_t>(kIoChunkPages, leaf_pages_ - page) *
+              kPageSize);
+  enter_page(page);
+  slot_ = pos_ % records_per_page_;
+  rec_ += slot_ * record_size_;
+}
+
+void RunFile::SequentialStream::next() {
+  ++pos_;
+  if (++slot_ < records_per_page_) {
+    rec_ += record_size_;
+    return;
+  }
+  if (pos_ < count_) enter_page(pos_ / records_per_page_);
+}
+
+void RunFile::SequentialStream::enter_page(std::uint64_t page) {
+  if (page - buf_first_page_ >= buf_pages_) {
+    buf_pages_ = std::min<std::uint64_t>(buf_.size() / kPageSize,
+                                         leaf_pages_ - page);
+    file_.read_ahead(page * kPageSize, {buf_.data(), buf_pages_ * kPageSize});
+    buf_first_page_ = page;
+  }
+  file_.charge_page_reads(1);
+  slot_ = 0;
+  rec_ = buf_.data() + (page - buf_first_page_) * kPageSize;
 }
 
 std::unique_ptr<RunFile::Stream> RunFile::stream_from(std::uint64_t start) const {

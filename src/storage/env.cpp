@@ -287,8 +287,8 @@ RandomAccessFile::~RandomAccessFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void RandomAccessFile::read(std::uint64_t offset,
-                            std::span<std::uint8_t> data) const {
+void RandomAccessFile::read_ahead(std::uint64_t offset,
+                                  std::span<std::uint8_t> data) const {
   const IoTimer timer(env_.stats_);
   std::uint8_t* p = data.data();
   std::size_t remaining = data.size();
@@ -304,8 +304,18 @@ void RandomAccessFile::read(std::uint64_t offset,
     off += static_cast<std::uint64_t>(n);
     remaining -= static_cast<std::size_t>(n);
   }
+}
+
+void RandomAccessFile::read(std::uint64_t offset,
+                            std::span<std::uint8_t> data) const {
+  read_ahead(offset, data);
   env_.stats_.page_reads += pages_touched(offset, data.size());
   env_.stats_.bytes_read += data.size();
+}
+
+void RandomAccessFile::charge_page_reads(std::uint64_t pages) const {
+  env_.stats_.page_reads += pages;
+  env_.stats_.bytes_read += pages * kPageSize;
 }
 
 void RandomAccessFile::read_page(std::uint64_t page_no,

@@ -270,6 +270,13 @@ class RandomAccessFile {
   /// Read one 4 KB page (page-granularity accounting: exactly one read).
   void read_page(std::uint64_t page_no, std::span<std::uint8_t> page) const;
 
+  /// Read-ahead for sequential scans: reads like read() but charges only
+  /// the syscall time. The caller charges each page when it first uses it
+  /// (charge_page_reads), so pages read ahead but never reached cost
+  /// nothing in the page counts.
+  void read_ahead(std::uint64_t offset, std::span<std::uint8_t> data) const;
+  void charge_page_reads(std::uint64_t pages) const;
+
   /// Write one 4 KB page at page_no (extends the file if needed).
   void write_page(std::uint64_t page_no, std::span<const std::uint8_t> page);
 

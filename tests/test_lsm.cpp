@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/backlog_db.hpp"
 #include "lsm/deletion_vector.hpp"
 #include "lsm/merge.hpp"
 #include "lsm/run_file.hpp"
@@ -445,4 +446,242 @@ TEST(RunFile, FooterBitFlipsNeverCrash) {
   // survive as wrong-but-safe runs.
   EXPECT_GT(rejected, 64);
   SUCCEED() << rejected << " rejected, " << survived << " survived";
+}
+
+// --- sequential (maintenance) read path and chunked run writes ---------------
+
+namespace {
+
+/// Record `i` of a `size`-byte test run: be64 key i, then bytes that depend
+/// on both i and the offset, so a record read from the wrong slot or page
+/// cannot compare equal.
+std::vector<std::uint8_t> wide_rec(std::size_t size, std::uint64_t i) {
+  std::vector<std::uint8_t> out(size);
+  bu::put_be64(out.data(), i);
+  for (std::size_t j = 8; j < size; ++j)
+    out[j] = static_cast<std::uint8_t>(i * 31 + j * 7);
+  return out;
+}
+
+/// Writes n wide records of `size` bytes (keys 0..n-1).
+void write_wide_run(bs::Env& env, const std::string& name, std::size_t size,
+                    std::uint64_t n) {
+  bl::RunWriter w(env, name, size, n);
+  for (std::uint64_t i = 0; i < n; ++i) w.add(wide_rec(size, i), i);
+  w.finish();
+}
+
+std::vector<std::vector<std::uint8_t>> collect_records(bl::RecordStream& s) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (; s.valid(); s.next())
+    out.emplace_back(s.record().begin(), s.record().end());
+  return out;
+}
+
+}  // namespace
+
+// Record sizes that do not divide 4096 (the Backlog From/To and Combined
+// sizes) crossed with run lengths around the 16-page read chunk.
+class SequentialStreamShapes
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SequentialStreamShapes,
+                         ::testing::Combine(::testing::Values(48, 56),
+                                            ::testing::Values(0, 1, 15, 16, 17,
+                                                              33)));
+
+TEST_P(SequentialStreamShapes, MatchesCachedStreamAndChargesPagesTouched) {
+  const auto [size, leaf_pages] = GetParam();
+  const std::uint64_t rpp = bs::kPageSize / size;
+  // The last leaf page is about half full.
+  const std::uint64_t n = leaf_pages == 0 ? 0 : (leaf_pages - 1) * rpp + rpp / 2 + 1;
+  bs::TempDir dir;
+  bs::Env env(dir.path());
+  bs::BlockCache cache(64 * bs::kPageSize);
+  write_wide_run(env, "r.run", size, n);
+  bl::RunFile run(env, "r.run", cache);
+  ASSERT_EQ(run.record_count(), n);
+
+  // 0, mid-page, mid-page in the second chunk, the last record, past the end.
+  const std::uint64_t last = n == 0 ? 0 : n - 1;
+  for (const std::uint64_t start :
+       {std::uint64_t{0}, rpp / 2, 17 * rpp + rpp / 3, last, n, n + 5}) {
+    SCOPED_TRACE(testing::Message() << "start=" << start << " n=" << n);
+    auto cached = run.stream_from(start);
+    const auto want = collect_records(*cached);
+
+    const bs::IoStats io_before = env.stats();
+    const bs::BlockCacheStats cache_before = cache.stats();
+    auto seq = run.sequential_from(start);
+    const auto got = collect_records(*seq);
+    const bs::IoStats io = env.stats() - io_before;
+    const bs::BlockCacheStats cache_after = cache.stats();
+
+    EXPECT_EQ(got, want);
+    const std::uint64_t touched = start < n ? last / rpp - start / rpp + 1 : 0;
+    EXPECT_EQ(io.page_reads, touched);
+    EXPECT_EQ(io.bytes_read, touched * bs::kPageSize);
+    EXPECT_EQ(cache_after.hits, cache_before.hits);
+    EXPECT_EQ(cache_after.misses, cache_before.misses);
+    EXPECT_EQ(cache_after.entries, cache_before.entries);
+  }
+}
+
+TEST(RunFile, SequentialStreamRecordOutlivesOtherStreams) {
+  // The RecordStream lifetime contract: a record stays readable until its
+  // own stream advances, whatever other streams over the same run do.
+  bs::TempDir dir;
+  bs::Env env(dir.path());
+  bs::BlockCache cache(2 * bs::kPageSize);
+  write_wide_run(env, "r.run", 48, 40 * (bs::kPageSize / 48));
+  bl::RunFile run(env, "r.run", cache);
+  auto a = run.sequential_from(5);
+  const std::span<const std::uint8_t> held = a->record();
+  auto b = run.sequential_from(0);
+  auto c = run.scan();
+  for (int i = 0; i < 3000; ++i) {
+    b->next();
+    c->next();
+  }
+  EXPECT_EQ(std::vector<std::uint8_t>(held.begin(), held.end()), wide_rec(48, 5));
+}
+
+TEST(RunWriter, ChunkedAppendsKeepTheOnePagePerAppendLayout) {
+  // 40 leaf pages: two full 16-page appends, then 8 pages and a short one.
+  bs::TempDir dir;
+  bs::Env env(dir.path());
+  bs::BlockCache cache(8 * bs::kPageSize);
+  const std::size_t size = 56;
+  const std::uint64_t rpp = bs::kPageSize / size;
+  const std::uint64_t n = 40 * rpp + rpp / 4;
+  const bs::IoStats before = env.stats();
+  write_wide_run(env, "r.run", size, n);
+  const bs::IoStats io = env.stats() - before;
+  const std::uint64_t file_bytes = env.file_size("r.run");
+  EXPECT_EQ(io.page_writes, file_bytes / bs::kPageSize);
+  EXPECT_EQ(io.page_reads, 0u);
+
+  // Leaf pages hold the records packed from offset 0, zero-filled after.
+  std::vector<std::uint8_t> want(41 * bs::kPageSize, 0);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto r = wide_rec(size, i);
+    std::copy(r.begin(), r.end(),
+              want.begin() + static_cast<std::ptrdiff_t>(
+                                 (i / rpp) * bs::kPageSize + (i % rpp) * size));
+  }
+  std::vector<std::uint8_t> leaves(want.size());
+  std::ifstream f(dir.path() / "r.run", std::ios::binary);
+  f.read(reinterpret_cast<char*>(leaves.data()),
+         static_cast<std::streamsize>(leaves.size()));
+  EXPECT_EQ(leaves, want);
+
+  // Both read paths return every record.
+  bl::RunFile run(env, "r.run", cache);
+  auto seq = run.sequential_from(0);
+  auto cached = run.scan();
+  const auto a = collect_records(*seq);
+  EXPECT_EQ(a, collect_records(*cached));
+  ASSERT_EQ(a.size(), n);
+  for (std::uint64_t i = 0; i < n; i += 97) EXPECT_EQ(a[i], wide_rec(size, i));
+}
+
+// --- maintenance reads outside the block cache --------------------------------
+
+namespace {
+
+namespace bc = backlog::core;
+
+bc::BackrefKey db_key(std::uint64_t block, std::uint64_t inode,
+                      std::uint64_t offset) {
+  bc::BackrefKey k;
+  k.block = block;
+  k.inode = inode;
+  k.offset = offset;
+  return k;
+}
+
+/// Adds and removes references over `cps` CPs, with a snapshot every 4.
+void age_db(bc::BacklogDb& db, std::uint64_t seed, int cps, int ops_per_cp) {
+  bu::Rng rng(seed);
+  std::vector<bc::BackrefKey> live;
+  for (int cp = 1; cp <= cps; ++cp) {
+    for (int op = 0; op < ops_per_cp; ++op) {
+      if (live.empty() || rng.chance(0.65)) {
+        live.push_back(db_key(rng.below(20000), 2 + rng.below(16), rng.below(64)));
+        db.add_reference(live.back());
+      } else {
+        const std::size_t i = rng.below(live.size());
+        db.remove_reference(live[i]);
+        live[i] = live.back();
+        live.pop_back();
+      }
+    }
+    db.consistency_point();
+    if (cp % 4 == 0) db.registry().take_snapshot(0);
+  }
+}
+
+std::vector<std::vector<bc::BackrefEntry>> query_sample(bc::BacklogDb& db) {
+  std::vector<std::vector<bc::BackrefEntry>> out;
+  for (std::uint64_t b = 0; b < 20000; b += 37) out.push_back(db.query(b, 3));
+  return out;
+}
+
+}  // namespace
+
+TEST(Maintenance, LeavesTheBlockCacheUntouchedAndAnswersTheSame) {
+  bs::TempDir dir;
+  bs::Env env(dir.path());
+  env.set_sync(false);
+  bc::BacklogOptions opts;
+  opts.cache_pages = 64;         // far smaller than the volume: evictions
+  opts.partition_blocks = 4096;  // five partitions
+  opts.max_open_runs = 4;        // Level-0 pre-merges (merge_run_batches)
+  bc::BacklogDb db(env, opts);
+  age_db(db, 11, 24, 1500);
+  const auto before = query_sample(db);
+  const bs::BlockCacheStats cache_before = db.block_cache_stats();
+  ASSERT_GT(cache_before.misses, 0u);
+
+  const bc::MaintenanceStats ms = db.maintain();
+  EXPECT_GT(ms.input_records, 0u);
+  EXPECT_GT(ms.pages_read, 0u);  // sequential reads are still charged
+  const bs::BlockCacheStats cache_after = db.block_cache_stats();
+  EXPECT_EQ(cache_after.hits, cache_before.hits);
+  EXPECT_EQ(cache_after.misses, cache_before.misses);  // no inserts
+  EXPECT_EQ(cache_after.evictions, cache_before.evictions);
+
+  EXPECT_EQ(query_sample(db), before);
+}
+
+TEST(Maintenance, FailedRunWriteDuringCpLeavesNoInstalledHalfRun) {
+  // A CP flush whose run write tears or fails must not leave a run that a
+  // reopen installs: the manifest never names it, and reopening deletes it.
+  for (const auto mode : {bs::Env::WriteFaultMode::kTornPage,
+                          bs::Env::WriteFaultMode::kEio}) {
+    for (const std::uint64_t after : {0, 1, 2}) {
+      SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode)
+                                      << " after=" << after);
+      bs::TempDir dir;
+      std::vector<bc::CombinedRecord> committed;
+      std::vector<std::string> committed_files;
+      {
+        bs::Env env(dir.path());
+        bc::BacklogDb db(env);
+        age_db(db, 5, 3, 500);
+        committed = db.scan_all();
+        committed_files = env.list_files();
+        // One CP worth of From records in one partition: ~36 leaf pages,
+        // so the run's leaf pages take three appends.
+        for (std::uint64_t i = 0; i < 3000; ++i)
+          db.add_reference(db_key(i, 40, i));
+        env.set_write_fault({mode, after, /*sticky=*/true});
+        EXPECT_ANY_THROW(db.consistency_point());
+      }
+      bs::Env env(dir.path());
+      bc::BacklogDb db(env);
+      EXPECT_EQ(env.list_files(), committed_files);
+      EXPECT_EQ(db.scan_all(), committed);
+    }
+  }
 }
