@@ -303,10 +303,15 @@ void Client::close_volume(const std::string& tenant) {
   call(Verb::kCloseVolume, tenant, w.data());
 }
 
-void Client::destroy_volume(const std::string& tenant) {
+Client::DestroyResult Client::destroy_volume(const std::string& tenant) {
   util::Writer w;
   wire::put_tenant(w, tenant);
-  call(Verb::kDestroyVolume, tenant, w.data());
+  const auto body = call(Verb::kDestroyVolume, tenant, w.data());
+  util::Reader r(body);
+  DestroyResult res;
+  res.released_refs = r.u64();
+  res.shared_files = r.u64();
+  return res;
 }
 
 std::vector<std::string> Client::list_tenants() {

@@ -80,7 +80,13 @@ class Client {
   void ping();
   void open_volume(const std::string& tenant);
   void close_volume(const std::string& tenant);
-  void destroy_volume(const std::string& tenant);
+  /// Returns the shared-file references the destroy released and how many
+  /// files are still shared by other volumes afterwards.
+  struct DestroyResult {
+    std::uint64_t released_refs = 0;
+    std::uint64_t shared_files = 0;
+  };
+  DestroyResult destroy_volume(const std::string& tenant);
   std::vector<std::string> list_tenants();
 
   void apply_batch(const std::string& tenant,

@@ -1,6 +1,7 @@
 #include "net/handlers.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <future>
 
 #include "net/render.hpp"
@@ -38,6 +39,51 @@ void ServiceEndpoint::start(ServerOptions options) {
 
 void ServiceEndpoint::stop() { server_.stop(); }
 
+namespace {
+
+service::ServiceOptions hosted_options(const std::filesystem::path& root,
+                                       std::size_t shards,
+                                       std::uint32_t commit_window_micros) {
+  service::ServiceOptions so;
+  so.shards = shards;
+  so.root = root;
+  // An acked mutation must be durable: every apply future resolves only
+  // once its WAL record is fsync-covered. The window amortizes one fsync
+  // over every batch on the shard (0 = one per batch).
+  so.wal_enabled = true;
+  so.wal_commit_window_micros = commit_window_micros;
+  return so;
+}
+
+}  // namespace
+
+HostedRoot::HostedRoot(const std::filesystem::path& root, std::size_t shards,
+                       std::uint32_t commit_window_micros,
+                       const ServerOptions& server)
+    : vm_(hosted_options(root, shards, commit_window_micros)), endpoint_(vm_) {
+  // Host whatever already lives under the root; kOpenVolume adds more.
+  for (const auto& t : service::discover_volumes(vm_)) {
+    vm_.open_volume(t);
+    ++volumes_;
+  }
+  endpoint_.start(server);
+}
+
+HostedRoot::~HostedRoot() {
+  try {
+    stop();
+  } catch (const std::exception& e) {
+    // A volume that did not close cleanly replays its WAL on next open.
+    std::fprintf(stderr, "backlog: closing hosted volumes failed: %s\n",
+                 e.what());
+  }
+}
+
+void HostedRoot::stop() {
+  endpoint_.stop();
+  for (const auto& t : vm_.tenants()) vm_.close_volume(t);
+}
+
 void ServiceEndpoint::register_handlers() {
   const auto ctl = kControlPayloadCap;
   const auto data = kDataPayloadCap;
@@ -67,8 +113,13 @@ void ServiceEndpoint::register_handlers() {
       Verb::kDestroyVolume, ctl, [this](const FrameHeader&, util::Reader& r) {
         const std::string tenant = wire::get_tenant(r);
         if (!vm_.has_volume(tenant)) return no_such_tenant(tenant);
+        const std::uint64_t before = vm_.shared_files().stats().shared_files;
         vm_.destroy_volume(tenant);
-        return Response::ok();
+        const std::uint64_t after = vm_.shared_files().stats().shared_files;
+        util::Writer w;
+        w.u64(before >= after ? before - after : 0);
+        w.u64(after);
+        return Response::ok(w.take());
       });
 
   server_.register_handler(
@@ -332,13 +383,9 @@ void ServiceEndpoint::register_handlers() {
         bp.max_moves_per_cycle = 2;
         service::Balancer balancer(vm_, bp);
 
-        std::string out;
-        char line[192];
-        std::snprintf(line, sizeof line,
-                      "%zu volumes on %zu shards; %llu balancer cycles\n",
-                      tenants.size(), vm_.shard_count(),
-                      static_cast<unsigned long long>(cycles));
-        out += line;
+        BalanceReport report;
+        report.volumes = tenants.size();
+        report.shards = vm_.shard_count();
         // Synthetic pulse: add+remove of a fresh key annihilates in the
         // write store — real load, volumes left unchanged.
         core::BlockNo probe = 1ull << 40;
@@ -357,41 +404,15 @@ void ServiceEndpoint::register_handlers() {
             }
           }
           for (auto& f : futs) f.get();
-          if (c == 0) {
-            balancer.run_once();  // first sighting primes the rate counters
-            continue;
-          }
-          const auto moves = balancer.run_once();
-          for (const auto& m : moves) {
-            std::snprintf(line, sizeof line,
-                          "cycle %llu: moved %s shard %zu -> %zu "
-                          "(imbalance %.3f -> %.3f)\n",
-                          static_cast<unsigned long long>(c),
-                          m.tenant.c_str(), m.from_shard, m.to_shard,
-                          m.imbalance_before, m.imbalance_after);
-            out += line;
-          }
-          if (moves.empty()) {
-            std::snprintf(line, sizeof line,
-                          "cycle %llu: balanced (imbalance %.3f)\n",
-                          static_cast<unsigned long long>(c),
-                          balancer.last_imbalance());
-            out += line;
-          }
+          auto moves = balancer.run_once();
+          if (c == 0) continue;  // first sighting primes the rate counters
+          report.cycles.push_back(
+              {std::move(moves), balancer.last_imbalance()});
         }
-        std::snprintf(line, sizeof line, "%-20s %6s\n", "tenant", "shard");
-        out += line;
-        for (const auto& p : vm_.placements()) {
-          std::snprintf(line, sizeof line, "%-20s %6zu\n", p.tenant.c_str(),
-                        p.shard);
-          out += line;
-        }
-        std::snprintf(line, sizeof line,
-                      "moves: %llu, final imbalance %.3f\n",
-                      static_cast<unsigned long long>(balancer.moves()),
-                      balancer.last_imbalance());
-        out += line;
-        return text_ok(out);
+        report.placements = vm_.placements();
+        report.moves = balancer.moves();
+        report.final_imbalance = balancer.last_imbalance();
+        return text_ok(render_balance(report));
       });
 
   server_.register_handler(

@@ -1,6 +1,5 @@
 #include "net/render.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -14,13 +13,22 @@ namespace {
 void appendf(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
+/// printf onto the end of `out`, sized by a first vsnprintf pass so no
+/// field (a 255-byte tenant name, say) is ever cut short.
 void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
+  va_list ap, again;
   va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_copy(again, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
   va_end(ap);
-  if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof buf - 1));
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt,
+                   again);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(again);
 }
 
 }  // namespace
@@ -268,6 +276,32 @@ std::string render_trace(const std::vector<service::TraceSpan>& spans,
   for (const auto& s : slow) {
     appendf(out, "%s\n", service::format_span(s).c_str());
   }
+  return out;
+}
+
+std::string render_balance(const BalanceReport& report) {
+  std::string out;
+  appendf(out, "%zu volumes on %zu shards; %zu balancer cycles\n",
+          report.volumes, report.shards, report.cycles.size());
+  for (std::size_t c = 0; c < report.cycles.size(); ++c) {
+    const auto& cycle = report.cycles[c];
+    for (const auto& m : cycle.moves) {
+      appendf(out, "cycle %zu: moved %s shard %zu -> %zu "
+                   "(imbalance %.3f -> %.3f)\n",
+              c + 1, m.tenant.c_str(), m.from_shard, m.to_shard,
+              m.imbalance_before, m.imbalance_after);
+    }
+    if (cycle.moves.empty()) {
+      appendf(out, "cycle %zu: balanced (imbalance %.3f)\n", c + 1,
+              cycle.imbalance);
+    }
+  }
+  appendf(out, "%-20s %6s\n", "tenant", "shard");
+  for (const auto& p : report.placements) {
+    appendf(out, "%-20s %6zu\n", p.tenant.c_str(), p.shard);
+  }
+  appendf(out, "moves: %" PRIu64 ", final imbalance %.3f\n", report.moves,
+          report.final_imbalance);
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/backlog_db.hpp"
+#include "service/balancer.hpp"
 #include "service/service_stats.hpp"
 #include "service/trace.hpp"
 #include "service/volume_manager.hpp"
@@ -53,5 +54,24 @@ std::string render_cache(const service::VolumeManager::CacheReport& report,
 std::string render_trace(const std::vector<service::TraceSpan>& spans,
                          const std::vector<service::TraceSpan>& slow,
                          std::uint64_t sample, std::uint64_t slow_us);
+
+/// What one `backlogctl balance` run did (the kBalanceText handler fills
+/// it): per balancer cycle, the moves it made and the imbalance it left.
+struct BalanceReport {
+  std::size_t volumes = 0;
+  std::size_t shards = 0;
+  struct Cycle {
+    std::vector<service::BalancerMove> moves;  ///< empty = already balanced
+    double imbalance = 0;
+  };
+  std::vector<Cycle> cycles;
+  std::vector<service::VolumeManager::VolumePlacement> placements;
+  std::uint64_t moves = 0;
+  double final_imbalance = 0;
+};
+
+/// `backlogctl balance`: one line per move (or per balanced cycle), the
+/// final placement table and the move count.
+std::string render_balance(const BalanceReport& report);
 
 }  // namespace backlog::net

@@ -513,6 +513,23 @@ std::vector<std::string> VolumeManager::tenants() const {
   return out;
 }
 
+std::vector<std::string> discover_volumes(const VolumeManager& vm) {
+  std::vector<std::string> out;
+  for (const auto& de :
+       std::filesystem::directory_iterator(vm.options().root)) {
+    if (!de.is_directory()) continue;
+    std::string name = de.path().filename().string();
+    try {
+      validate_tenant_name(name);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    out.push_back(std::move(name));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::size_t VolumeManager::current_shard(const std::string& tenant) const {
   const std::shared_ptr<Volume> vol = find(tenant);
   std::shared_lock lock(routing_mu_);

@@ -1074,4 +1074,13 @@ class VolumeManager {
   WorkerPool pool_;
 };
 
+/// The volumes a service root holds: every directory directly under
+/// `vm.options().root` whose name open_volume accepts as a tenant name,
+/// sorted. Taking the VolumeManager means it runs after construction, so
+/// crashed-clone `*.cloning` staging directories are already gone (and
+/// would be rejected by the name rule anyway). backlogd and backlogctl host
+/// exactly these volumes.
+[[nodiscard]] std::vector<std::string> discover_volumes(
+    const VolumeManager& vm);
+
 }  // namespace backlog::service

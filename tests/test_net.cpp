@@ -218,8 +218,67 @@ TEST_F(NetServerTest, VerbCoverageEndToEnd) {
   c.apply_batch("alpha", {add_op(501)});
   EXPECT_NE(c.trace_text(1, 1).find("sampled spans"), std::string::npos);
 
-  c.destroy_volume("beta");
+  // Destroying the clone releases its references to alpha's files, which
+  // are then shared by no one.
+  const auto destroyed = c.destroy_volume("beta");
+  EXPECT_EQ(destroyed.released_refs, clone.shared_files);
+  EXPECT_EQ(destroyed.shared_files, 0u);
   EXPECT_THROW(c.quick_stats("beta"), bsvc::ServiceError);
+}
+
+TEST_F(NetServerTest, BalanceTextKeepsLongTenantNames) {
+  // 255 bytes is the longest tenant name open_volume accepts.
+  const std::vector<std::string> tenants = {std::string(255, 'a'), "b", "c"};
+  bn::Client c;
+  c.connect("127.0.0.1", port());
+  for (const auto& t : tenants) c.open_volume(t);
+
+  const std::string out = c.balance_text(2);
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < out.size();) {
+    const std::size_t nl = out.find('\n', at);
+    ASSERT_NE(nl, std::string::npos) << "unterminated line in:\n" << out;
+    lines.push_back(out.substr(at, nl - at));
+    at = nl + 1;
+  }
+  // Header, 2 cycles, table header, one row per tenant, moves line.
+  ASSERT_EQ(lines.size(), 1 + 2 + 1 + tenants.size() + 1) << out;
+  EXPECT_EQ(lines[3].rfind("tenant", 0), 0u);
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    const std::string& row = lines[4 + i];
+    EXPECT_EQ(row.rfind(tenants[i] + " ", 0), 0u) << row;
+    const char shard = row.back();
+    EXPECT_TRUE(shard == '0' || shard == '1') << row;
+  }
+  EXPECT_EQ(lines.back().rfind("moves: ", 0), 0u) << lines.back();
+}
+
+TEST(HostedRoot, HostsDiscoveredVolumesDurably) {
+  bs::TempDir dir;
+  {
+    bsvc::ServiceOptions so;
+    so.shards = 1;
+    so.root = dir.path();
+    bsvc::VolumeManager vm(so);
+    vm.open_volume("vol.1");
+    vm.close_volume("vol.1");
+  }
+  {
+    bn::HostedRoot host(dir.path(), 2, 0, bn::ServerOptions{});
+    EXPECT_EQ(host.volumes(), 1u);
+    bn::Client c;
+    c.connect("127.0.0.1", host.port());
+    EXPECT_EQ(c.list_tenants(), std::vector<std::string>{"vol.1"});
+    c.apply_batch("vol.1", {add_op(42)});
+    host.stop();  // closes every volume: the op is committed on disk
+  }
+  bsvc::ServiceOptions so;
+  so.shards = 1;
+  so.root = dir.path();
+  bsvc::VolumeManager vm(so);
+  vm.open_volume("vol.1");
+  EXPECT_EQ(vm.query("vol.1", 42).get().size(), 1u);
+  vm.close_volume("vol.1");
 }
 
 TEST_F(NetServerTest, PollRatesPrimesAcrossCalls) {

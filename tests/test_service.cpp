@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -155,6 +156,26 @@ TEST(Service, VolumeLifecycleAndReopen) {
     EXPECT_EQ(vm.query("alice", 300).get().size(), 1u);
     EXPECT_EQ(vm.query("alice", 100).get().size(), 1u);
   }
+}
+
+TEST(Service, DiscoverVolumesHostsDottedNamesButNotCloneStaging) {
+  bs::TempDir dir;
+  {
+    bsvc::VolumeManager vm(service_options(dir, 2));
+    vm.open_volume("vol.1");  // open_volume accepts dotted names
+    vm.apply("vol.1", {add(7)}).get();
+    vm.close_volume("vol.1");
+  }
+  // A crashed clone's staging directory, and one no tenant could name.
+  std::filesystem::create_directories(dir.path() / "x.cloning");
+  std::filesystem::create_directories(dir.path() / "not a tenant");
+
+  bsvc::VolumeManager vm(service_options(dir, 2));
+  const auto found = bsvc::discover_volumes(vm);
+  EXPECT_EQ(found, std::vector<std::string>{"vol.1"});
+  EXPECT_FALSE(std::filesystem::exists(dir.path() / "x.cloning"));
+  for (const auto& t : found) vm.open_volume(t);
+  EXPECT_EQ(vm.query("vol.1", 7).get().size(), 1u);
 }
 
 TEST(Service, QueryWhileMaintenanceOnOneShard) {

@@ -1,4 +1,5 @@
-// Unit tests for util: hashing, Bloom filters, RNG/distributions, CRC, serde.
+// Unit tests for util: hashing, Bloom filters, RNG/distributions, CRC, serde,
+// command-line number parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include "util/bloom.hpp"
 #include "util/crc32c.hpp"
 #include "util/hash.hpp"
+#include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/serde.hpp"
 
@@ -292,4 +294,31 @@ TEST(Serde, ReaderStringAndCountCapsBeforeAllocation) {
   w3.u32(100);  // string length 100, but no bytes follow
   bu::Reader r3(w3.data());
   EXPECT_THROW(r3.string(1 << 20), bu::SerdeError);
+}
+
+TEST(ParseU64, AcceptsWholeDecimalAndHexNumbersInRange) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(bu::parse_u64("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(bu::parse_u64("0x10", v));
+  EXPECT_EQ(v, 16u);
+  EXPECT_TRUE(bu::parse_u64("18446744073709551615", v));  // UINT64_MAX
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(bu::parse_u64("1024", v, 1, 1024));
+  EXPECT_EQ(v, 1024u);
+}
+
+TEST(ParseU64, RejectsMalformedAndOutOfRangeWithoutWriting) {
+  std::uint64_t v = 7;
+  EXPECT_FALSE(bu::parse_u64(nullptr, v));
+  EXPECT_FALSE(bu::parse_u64("", v));
+  EXPECT_FALSE(bu::parse_u64("-1", v));
+  EXPECT_FALSE(bu::parse_u64("12abc", v));  // trailing junk
+  EXPECT_FALSE(bu::parse_u64("12 ", v));
+  EXPECT_FALSE(bu::parse_u64("abc", v));
+  EXPECT_FALSE(bu::parse_u64("0x", v));
+  EXPECT_FALSE(bu::parse_u64("18446744073709551616", v));  // UINT64_MAX + 1
+  EXPECT_FALSE(bu::parse_u64("0", v, 1));                  // below min
+  EXPECT_FALSE(bu::parse_u64("1025", v, 1, 1024));         // above max
+  EXPECT_EQ(v, 7u);
 }

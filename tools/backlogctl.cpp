@@ -1,4 +1,8 @@
-// backlogctl — command-line inspector for a Backlog volume directory.
+// backlogctl — command-line front end for Backlog volumes and services.
+//
+// Volume commands inspect one volume. Locally <dir> is a volume directory,
+// opened standalone (outside any service); with --connect it is the name of
+// a tenant the daemon hosts:
 //
 //   backlogctl info <dir>                  volume summary (CP, lines, runs)
 //   backlogctl runs <dir>                  list run files with metadata
@@ -8,544 +12,506 @@
 //   backlogctl scan <dir>                  dump every joined record
 //   backlogctl maintain <dir>              run database maintenance (§5.2)
 //   backlogctl dump-run <dir> <file>       decode one run file's records
-//   backlogctl stress <dir> <tenants> <ops> [shards] [--batch N]
-//                                          drive the multi-tenant volume
-//                                          service: <tenants> volumes under
-//                                          <dir>, ~<ops> block ops total,
-//                                          concurrent replay + background
-//                                          maintenance, throughput report.
-//                                          --batch N feeds N-op batches
-//                                          through the batched hot-path
-//                                          verb (apply_batch) instead of
-//                                          apply()'s per-op loop
+//
+// Service commands act on a service root, a directory whose subdirectories
+// are volumes:
+//
+//   backlogctl stress <root> <tenants> <ops> [shards] [--batch N]
+//       replay synthetic traces into tenant-000.. through apply_batch in
+//       N-op chunks (default 64) over at most 16 connections; throughput
+//       and the stats table
 //   backlogctl snap <root> <tenant> [line]
-//                                          take + commit a snapshot of the
-//                                          tenant's line (default 0)
+//       take and commit a snapshot of the tenant's line (default 0)
 //   backlogctl clone <root> <src> <dst> [line [version]]
-//                                          materialize a writable clone of
-//                                          src's snapshot as new tenant
-//                                          <dst> (default: latest snapshot
-//                                          of line 0). Copy-on-write: run
-//                                          files are hard-linked and
-//                                          refcounted, not copied; prints
-//                                          the shared-byte accounting
+//       copy-on-write clone of src's snapshot (default: the latest of line
+//       0) as the new tenant <dst>; prints the shared-file accounting
 //   backlogctl destroy <root> <tenant> [shards]
-//                                          permanently delete the tenant's
-//                                          volume, releasing every shared
-//                                          file through the refcount
-//                                          manifest (files shared with
-//                                          clones survive)
+//       delete the tenant's volume; files shared with clones survive
 //   backlogctl migrate <root> <tenant> <target-shard> [shards]
-//                                          live-migrate the tenant between
-//                                          shards of a <shards>-wide service
-//                                          (a protocol demo: placement is
-//                                          hash-routed again on reopen)
+//       live-migrate the tenant to another shard
 //   backlogctl qos <root> <tenant> <ops-per-sec> <bytes-per-sec> [ops]
-//                                          drive [ops] single-op updates
-//                                          through the tenant under that
-//                                          TenantQos (0 = unlimited) and
-//                                          report admission counters +
-//                                          effective throughput
+//       drive [ops] single-op updates, one at a time, under that TenantQos
+//       (0 = unlimited); admission counters and effective throughput
 //   backlogctl balance <root> <shards> [cycles]
-//                                          open every volume under <root>,
-//                                          pulse a synthetic load and run
-//                                          the autonomous balancer for
-//                                          [cycles] cycles; print the moves
-//                                          and final placement
+//       pulse a synthetic load and run the balancer for [cycles] cycles
 //   backlogctl stats <root> [shards] [--json]
-//                                          open every volume under <root>
-//                                          and print the merged ServiceStats
-//                                          (per-tenant table, or one JSON
-//                                          object with --json)
-//   backlogctl cache <root> [shards] [--json]
-//                                          open every volume under <root>
-//                                          and print the shared block
-//                                          cache's counters plus each
-//                                          volume's result-cache counters
-//   backlogctl cache clear <root> [shards]
-//                                          drop every cached page and
-//                                          cached query result (the
-//                                          paper's cold-cache lever,
-//                                          fleet-wide), then print the
-//                                          report
+//       the merged ServiceStats: per-tenant table or one JSON object
+//   backlogctl cache [clear] <root> [shards] [--json]
+//       shared block cache and per-volume result-cache counters; `clear`
+//       drops every cached page and result first (no --json)
 //   backlogctl metrics <root> [shards] [--prom|--json] [--watch N]
-//                                          open every volume, pulse a
-//                                          synthetic load through the
-//                                          service and print the metrics
-//                                          registry: Prometheus exposition
-//                                          (default) or JSON. --watch N
-//                                          polls N windows first, printing
-//                                          one rate line per window
+//       pulse a synthetic load, then print the metrics registry
+//       (Prometheus by default); --watch N prints N windowed-rate lines
 //   backlogctl trace <root> <tenants> <ops> [shards] [--sample N] [--slow-us N]
-//                                          stress-style run with per-op
-//                                          tracing on (sample 1-in-N,
-//                                          default 1); dumps the newest
-//                                          sampled spans and the slow-op
-//                                          log (ops slower than --slow-us)
-//   backlogctl --connect host:port <cmd> [args]
-//                                          run any subcommand against a live
-//                                          backlogd over the wire protocol.
-//                                          Volume commands (info/runs/query/
-//                                          raw/scan/maintain/dump-run) take
-//                                          the *tenant name* where the local
-//                                          form takes a directory; service
-//                                          commands keep their <root>
-//                                          positional for symmetry but
-//                                          operate on the daemon's root.
-//                                          Reports are rendered server-side
-//                                          through the same code as the
-//                                          local path (src/net/render.hpp),
-//                                          so the output is byte-identical.
+//       a stress-style run with per-op tracing on; the newest sampled spans
+//       and the slow-op log
+//
+// One parser validates every command and one executor runs it, as client
+// calls to a backlogd. With `--connect host:port [--wait-ms N]` that is a
+// live daemon, and <root> is a placeholder (the daemon's root applies; for
+// `migrate` the shard count only validates the target). Without it the
+// command hosts <root> in-process exactly as backlogd would — same
+// VolumeManager options (WAL on, so a mutation is durable when the command
+// returns), same volume discovery, same endpoint, with [shards] shards —
+// serves it on 127.0.0.1 for the length of the command, and stops. Reports
+// are rendered by src/net/render.hpp in both modes, so they are
+// byte-identical.
 //
 // Malformed invocations (wrong arity, non-numeric or out-of-range
-// arguments) print usage and exit 2; runtime failures exit 1.
+// arguments) print usage and exit 2 before anything is opened or dialed;
+// runtime failures exit 1.
 //
-// Note: opening a volume re-establishes the manifest base (one metadata
-// write); all other inspection is read-only (stress/snap/clone/destroy/
-// migrate/qos/balance, of course, write). Volume-level commands (info/
-// maintain/...) open the directory standalone, outside any service: a
-// `maintain` on a volume whose runs are CoW-shared with clones is safe
-// (hard links keep sharers intact) but leaves the service root's FILEREFS
-// accounting stale until the next service start recounts it.
+// Note: opening a volume standalone re-establishes its manifest base (one
+// metadata write). A standalone `maintain` on a volume whose runs are
+// CoW-shared with clones is safe (hard links keep sharers intact) but
+// leaves the service root's FILEREFS accounting stale until the next
+// service start recounts it.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/backlog_db.hpp"
 #include "fsim/multi_tenant.hpp"
-#include "lsm/run_file.hpp"
 #include "net/client.hpp"
+#include "net/handlers.hpp"
 #include "net/render.hpp"
-#include "service/service.hpp"
 #include "storage/env.hpp"
+#include "util/parse.hpp"
 
 using namespace backlog;
+using util::parse_u64;
 
 namespace {
 
-/// Shared by every remote-mode connection. `--wait-ms N` after the
-/// `--connect` spec fills retry_for_ms so scripts (and CI) can start the
-/// client before the daemon finishes binding instead of sleeping and hoping.
-net::Client::ConnectOptions g_connect_opts;
-
 int usage() {
   std::fprintf(stderr,
-               "usage: backlogctl <info|runs|query|raw|scan|maintain|dump-run|"
-               "stress|snap|clone|destroy|migrate|qos|balance|stats|cache|"
-               "metrics|trace> <dir> [args]\n"
-               "       backlogctl query|raw <dir> <block> [count]\n"
-               "       backlogctl dump-run <dir> <file>\n"
-               "       backlogctl stress <dir> <tenants> <ops> [shards] [--batch N]\n"
-               "       backlogctl snap <root> <tenant> [line]\n"
-               "       backlogctl clone <root> <src> <dst> [line [version]]\n"
-               "       backlogctl destroy <root> <tenant> [shards]\n"
-               "       backlogctl migrate <root> <tenant> <target-shard> "
-               "[shards]\n"
-               "       backlogctl qos <root> <tenant> <ops-per-sec> "
-               "<bytes-per-sec> [ops]\n"
-               "       backlogctl balance <root> <shards> [cycles]\n"
-               "       backlogctl stats <root> [shards] [--json]\n"
-               "       backlogctl cache <root> [shards] [--json]\n"
-               "       backlogctl cache clear <root> [shards]\n"
-               "       backlogctl metrics <root> [shards] [--prom|--json] "
+               "usage: backlogctl [--connect host:port [--wait-ms N]] <cmd> "
+               "<dir|root> [args]\n"
+               "  volume:  info|runs|scan|maintain <dir>\n"
+               "           query|raw <dir> <block> [count]\n"
+               "           dump-run <dir> <file>\n"
+               "  service: stress <root> <tenants> <ops> [shards] "
+               "[--batch N]\n"
+               "           snap <root> <tenant> [line]\n"
+               "           clone <root> <src> <dst> [line [version]]\n"
+               "           destroy <root> <tenant> [shards]\n"
+               "           migrate <root> <tenant> <target-shard> [shards]\n"
+               "           qos <root> <tenant> <ops-per-sec> <bytes-per-sec> "
+               "[ops]\n"
+               "           balance <root> <shards> [cycles]\n"
+               "           stats <root> [shards] [--json]\n"
+               "           cache [clear] <root> [shards] [--json]\n"
+               "           metrics <root> [shards] [--prom|--json] "
                "[--watch N]\n"
-               "       backlogctl trace <root> <tenants> <ops> [shards] "
+               "           trace <root> <tenants> <ops> [shards] "
                "[--sample N] [--slow-us N]\n"
-               "       backlogctl --connect host:port [--wait-ms N] <cmd> "
-               "[args]\n"
-               "                  (volume commands take the tenant name; "
-               "--wait-ms retries\n"
-               "                  refused connects for N ms — races daemon "
-               "startup safely)\n");
+               "  --connect runs against a live backlogd: volume commands "
+               "take the tenant\n"
+               "  name, <root> is a placeholder; --wait-ms retries refused "
+               "connects for N ms.\n"
+               "  Without it, service commands host <root> in-process for "
+               "the command.\n");
   return 2;
 }
 
-/// Strict numeric parse: the whole argument must be a decimal/hex number in
-/// [min, max]. Malformed arguments are a usage error, not silently 0 (which
-/// strtoull alone would give for "abc").
-bool parse_u64(const char* arg, std::uint64_t& out,
-               std::uint64_t min_value = 0,
-               std::uint64_t max_value = UINT64_MAX) {
-  if (arg == nullptr || *arg == '\0' || *arg == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 0);
-  if (errno != 0 || end == arg || *end != '\0') return false;
-  if (v < min_value || v > max_value) return false;
-  out = v;
-  return true;
+/// One validated invocation (fields a command does not take keep their
+/// defaults).
+struct Cmd {
+  std::string name;
+  std::string target;  ///< <root>; for volume commands the <dir> or tenant
+  std::string tenant;  ///< snap/clone(src)/destroy/migrate/qos
+  std::string dst;     ///< clone
+  std::string file;    ///< dump-run
+  std::uint64_t shards = 1;
+  bool shards_given = false;
+  std::uint64_t tenants = 0, ops = 0, batch = 64;         // stress/trace/qos
+  std::uint64_t line = 0, version = 0, to_shard = 0;      // snap/clone/migrate
+  std::uint64_t ops_rate = 0, bytes_rate = 0;             // qos
+  std::uint64_t cycles = 3, watch = 0;                    // balance/metrics
+  std::uint64_t sample = 1, slow_us = 1000;               // trace
+  std::uint64_t block = 0, count = 1;                     // query/raw
+  bool json = false, clear = false;
+};
+
+bool is_volume_cmd(const std::string& name) {
+  return name == "info" || name == "runs" || name == "scan" ||
+         name == "maintain" || name == "query" || name == "raw" ||
+         name == "dump-run";
 }
 
-service::ServiceOptions service_options(const char* root, std::size_t shards) {
-  service::ServiceOptions so;
-  so.shards = shards;
-  so.root = root;
-  so.sync_writes = true;  // a CLI mutation should be durable when it returns
-  return so;
+/// The one parser: argv[1] is the command (after any --connect prefix).
+/// False = usage error.
+bool parse(int argc, char** argv, Cmd& c) {
+  if (argc < 3) return false;
+  int at = 1;
+  c.name = argv[at++];
+  if (c.name == "cache" && std::strcmp(argv[at], "clear") == 0) {
+    c.clear = true;
+    ++at;
+  }
+  if (at >= argc) return false;
+  c.target = argv[at++];
+
+  // Flags may sit anywhere after <root>; each at most once. A flag with
+  // max == 0 is a switch, the others take a number in [min, max].
+  struct Flag {
+    const char* name;
+    std::uint64_t* value;
+    std::uint64_t min = 0, max = 0;
+    bool seen = false;
+  };
+  std::uint64_t json = 0, prom = 0;
+  std::vector<Flag> flags;
+  if (c.name == "stress") {
+    flags = {{"--batch", &c.batch, 1, 1 << 20}};
+  } else if (c.name == "trace") {
+    flags = {{"--sample", &c.sample, 1, 1u << 30},
+             {"--slow-us", &c.slow_us, 1, UINT64_MAX}};
+  } else if (c.name == "stats" || (c.name == "cache" && !c.clear)) {
+    flags = {{"--json", &json}};
+  } else if (c.name == "metrics") {
+    flags = {{"--json", &json}, {"--prom", &prom},
+             {"--watch", &c.watch, 1, 1 << 20}};
+  }
+  std::vector<const char*> pos;
+  for (int i = at; i < argc; ++i) {
+    const auto f =
+        std::find_if(flags.begin(), flags.end(), [&](const Flag& x) {
+          return std::strcmp(x.name, argv[i]) == 0;
+        });
+    if (f == flags.end()) {
+      pos.push_back(argv[i]);
+      continue;
+    }
+    if (f->seen) return false;
+    f->seen = true;
+    if (f->max == 0) {
+      *f->value = 1;
+    } else if (++i == argc ||
+               !parse_u64(argv[i], *f->value, f->min, f->max)) {
+      return false;
+    }
+  }
+  if (json && prom) return false;
+  c.json = json != 0;
+
+  const std::size_t n = pos.size();
+  // Positional i parsed as a number in [lo, hi]; an absent one keeps its
+  // default (callers check arity first).
+  const auto num = [&](std::size_t i, std::uint64_t& out, std::uint64_t lo = 0,
+                       std::uint64_t hi = UINT64_MAX) {
+    return i >= n || parse_u64(pos[i], out, lo, hi);
+  };
+  const auto shards_at = [&](std::size_t i) {
+    c.shards_given = i < n;
+    return num(i, c.shards, 1, 1024);
+  };
+  if (n > 0) c.tenant = c.file = pos[0];
+  if (n > 1) c.dst = pos[1];
+
+  const std::string& m = c.name;
+  if (m == "stress" || m == "trace") {
+    c.shards = m == "stress" ? 4 : 2;
+    return n >= 2 && n <= 3 && num(0, c.tenants, 1, 1 << 16) &&
+           num(1, c.ops, 1) && shards_at(2);
+  }
+  if (m == "snap") return n >= 1 && n <= 2 && num(1, c.line);
+  if (m == "clone") {
+    return n >= 2 && n <= 4 && num(2, c.line) && num(3, c.version);
+  }
+  if (m == "destroy") return n >= 1 && n <= 2 && shards_at(1);
+  if (m == "migrate") {
+    // Validated against [shards] only when given: over --connect the
+    // daemon's shard count rules, and it answers an out-of-range target.
+    c.shards = 4;
+    return n >= 2 && n <= 3 && num(1, c.to_shard) && shards_at(2) &&
+           (!c.shards_given || c.to_shard < c.shards);
+  }
+  if (m == "qos") {
+    c.ops = 2000;
+    return n >= 3 && n <= 4 && num(1, c.ops_rate) && num(2, c.bytes_rate) &&
+           num(3, c.ops, 1);
+  }
+  if (m == "balance") {
+    return n >= 1 && n <= 2 && shards_at(0) && num(1, c.cycles, 1, 1 << 20);
+  }
+  if (m == "stats" || m == "cache" || m == "metrics") {
+    return n <= 1 && shards_at(0);
+  }
+  if (m == "query" || m == "raw") {
+    return n >= 1 && n <= 2 && num(0, c.block) && num(1, c.count, 1);
+  }
+  if (m == "dump-run") return n == 1;
+  return is_volume_cmd(m) && n == 0;
 }
 
-// The inspection reports are rendered through src/net/render.hpp — the same
-// functions the network server uses for the *_text verbs — so local and
-// --connect output stay byte-identical by construction.
+// --- where service commands go ----------------------------------------------
 
-int cmd_info(storage::Env& env) {
-  core::BacklogDb db(env);
-  std::fputs(net::render_info(db, env.root()).c_str(), stdout);
-  return 0;
+/// The backlogd every service command talks to: the --connect target, or
+/// the root this process hosts for the command. `--wait-ms N` fills
+/// retry_for_ms so scripts can start the client before the daemon has
+/// bound instead of sleeping and hoping.
+std::string g_host;
+std::uint16_t g_port = 0;
+net::Client::ConnectOptions g_connect_opts;
+
+net::Client dial() {
+  net::Client c;
+  c.connect(g_host, g_port, g_connect_opts);
+  return c;
 }
 
-int cmd_runs(storage::Env& env) {
+// --- volume commands --------------------------------------------------------
+
+/// Local form: the directory opened standalone, rendered by the functions
+/// the server's *_text verbs use.
+std::string volume_report_local(const Cmd& c) {
+  storage::Env env(c.target);
+  if (c.name == "dump-run") return net::render_dump_run(env, c.file);
   core::BacklogDb db(env);  // opening replays the manifest first
-  std::fputs(net::render_runs(env).c_str(), stdout);
-  return 0;
-}
-
-int cmd_query(storage::Env& env, core::BlockNo block, std::uint64_t count,
-              bool raw) {
-  core::BacklogDb db(env);
-  const std::string out = raw
-      ? net::render_records(db.query_raw(block, count), /*indent=*/true)
-      : net::render_query(db.query(block, count));
-  std::fputs(out.c_str(), stdout);
-  return 0;
-}
-
-int cmd_scan(storage::Env& env) {
-  core::BacklogDb db(env);
-  std::fputs(net::render_records(db.scan_all(), /*indent=*/false).c_str(),
-             stdout);
-  return 0;
-}
-
-int cmd_maintain(storage::Env& env) {
-  core::BacklogDb db(env);
-  std::fputs(net::render_maintenance(db.maintain()).c_str(), stdout);
-  return 0;
-}
-
-int cmd_dump_run(storage::Env& env, const std::string& file) {
-  std::fputs(net::render_dump_run(env, file).c_str(), stdout);
-  return 0;
-}
-
-int cmd_stress(const char* dir, std::uint64_t tenants, std::uint64_t total_ops,
-               std::uint64_t shards, std::uint64_t batch) {
-  if (tenants == 0 || total_ops == 0 || shards == 0) return usage();
-
-  service::ServiceOptions so;
-  so.shards = shards;
-  so.root = dir;
-  so.sync_writes = false;
-  service::VolumeManager vm(so);
-
-  service::MaintenancePolicy policy;
-  policy.l0_run_threshold = 24;
-  policy.poll_interval = std::chrono::milliseconds(10);
-  service::MaintenanceScheduler scheduler(vm, policy);
-
-  std::vector<fsim::TenantWorkload> workloads;
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof name, "tenant-%03llu",
-                  static_cast<unsigned long long>(i));
-    vm.open_volume(name);
-    fsim::TenantTraceOptions to;
-    to.block_ops = std::max<std::uint64_t>(1, total_ops / tenants);
-    to.seed = 42 + i;
-    workloads.push_back({name, fsim::synthesize_tenant_trace(to)});
+  if (c.name == "info") return net::render_info(db, env.root());
+  if (c.name == "runs") return net::render_runs(env);
+  if (c.name == "scan") return net::render_records(db.scan_all(), false);
+  if (c.name == "maintain") return net::render_maintenance(db.maintain());
+  if (c.name == "raw") {
+    return net::render_records(db.query_raw(c.block, c.count), true);
   }
+  return net::render_query(db.query(c.block, c.count));
+}
 
+std::string volume_report_remote(const Cmd& c) {
+  net::Client cl = dial();
+  const std::string& t = c.target;
+  if (c.name == "dump-run") return cl.dump_run_text(t, c.file);
+  if (c.name == "info") return cl.info_text(t);
+  if (c.name == "runs") return cl.runs_text(t);
+  if (c.name == "scan") return cl.scan_text(t);
+  if (c.name == "maintain") return cl.maintain_text(t);
+  return cl.query_text(t, c.block, c.count, c.name == "raw");
+}
+
+// --- service commands -------------------------------------------------------
+
+/// stress keeps this many connections at most, each driving its share of
+/// the tenants one after another.
+constexpr std::uint64_t kStressConnections = 16;
+
+std::string stress_tenant_name(std::uint64_t i) {
+  char name[32];
+  std::snprintf(name, sizeof name, "tenant-%03llu",
+                static_cast<unsigned long long>(i));
+  return name;
+}
+
+service::UpdateOp add_op(core::BlockNo block) {
+  service::UpdateOp op;
+  op.kind = service::UpdateOp::Kind::kAdd;
+  op.key.block = block;
+  op.key.inode = 2;
+  op.key.length = 1;
+  return op;
+}
+
+/// Replays tenant i's synthetic trace (seed 42 + i) through apply_batch in
+/// `chunk`-op batches, with an 8-block query after every 64 ops, then
+/// commits a consistency point. Returns the ops applied.
+std::uint64_t drive_tenant(net::Client& cl, std::uint64_t i,
+                           std::uint64_t block_ops, std::uint64_t chunk) {
+  const std::string name = stress_tenant_name(i);
+  cl.open_volume(name);
+  fsim::TenantTraceOptions to;
+  to.block_ops = block_ops;
+  to.seed = 42 + i;
+  const fsim::TenantTrace trace = fsim::synthesize_tenant_trace(to);
+  std::vector<service::UpdateOp> pending;
+  pending.reserve(chunk);
+  std::uint64_t done = 0, since_query = 0;
+  for (const auto& op : trace.ops) {
+    pending.push_back(op);
+    if (pending.size() < chunk) continue;
+    cl.apply_batch(name, pending);
+    done += pending.size();
+    since_query += pending.size();
+    pending.clear();
+    if (since_query >= 64) {
+      since_query = 0;
+      service::QueryRange qr;
+      qr.first = op.key.block;
+      qr.count = 8;
+      cl.query_batch(name, {qr});
+    }
+  }
+  if (!pending.empty()) {
+    cl.apply_batch(name, pending);
+    done += pending.size();
+  }
+  cl.consistency_point(name);
+  return done;
+}
+
+int run_stress(const Cmd& c) {
+  // The data plane speaks apply_batch; a per-op round trip would measure
+  // nothing but latency.
+  const std::uint64_t chunk =
+      std::min<std::uint64_t>(c.batch, net::wire::kMaxBatchOps);
+  const std::uint64_t per_tenant =
+      std::max<std::uint64_t>(1, c.ops / c.tenants);
+  const std::uint64_t conns = std::min(c.tenants, kStressConnections);
+
+  std::vector<std::jthread> threads;
+  std::vector<std::uint64_t> ops_done(conns, 0);
+  std::vector<std::string> errors(conns);
   const auto t0 = std::chrono::steady_clock::now();
-  fsim::ReplayOptions ro;
-  ro.query_every_ops = 64;
-  if (batch > 0) {
-    ro.batch_ops = batch;
-    ro.use_apply_batch = true;  // the batched hot-path verb (apply_batch)
+  for (std::uint64_t k = 0; k < conns; ++k) {
+    threads.emplace_back([&, k] {
+      std::uint64_t i = k;
+      try {
+        net::Client cl = dial();  // a Client is not thread-safe: one each
+        for (; i < c.tenants; i += conns) {
+          ops_done[k] += drive_tenant(cl, i, per_tenant, chunk);
+        }
+      } catch (const std::exception& e) {
+        errors[k] = stress_tenant_name(i) + ": " + e.what();
+      }
+    });
   }
-  const auto results = fsim::replay_concurrently(vm, workloads, ro);
+  for (auto& t : threads) t.join();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  scheduler.stop();
-
+  for (const auto& e : errors) {
+    if (e.empty()) continue;
+    std::fprintf(stderr, "backlogctl: %s\n", e.c_str());
+    return 1;
+  }
   std::uint64_t ops = 0;
-  for (const auto& r : results) ops += r.ops;
-  const service::ServiceStats stats = vm.stats();
-  std::printf("shards:            %llu\n",
-              static_cast<unsigned long long>(shards));
-  std::printf("tenants:           %llu\n",
-              static_cast<unsigned long long>(tenants));
-  std::printf("update verb:       %s\n",
-              batch > 0 ? "apply_batch (batched hot path)" : "apply");
+  for (const std::uint64_t n : ops_done) ops += n;
+  std::printf("tenants:           %" PRIu64 " over %" PRIu64 " connections\n",
+              c.tenants, conns);
+  std::printf("update verb:       apply_batch (%" PRIu64 "-op chunks)\n",
+              chunk);
   std::printf("block ops:         %" PRIu64 " in %.2f s (%.0f ops/s)\n", ops,
               wall, wall > 0 ? ops / wall : 0.0);
-  std::printf("queries:           %" PRIu64 " (p50 %" PRIu64 " us, p99 %" PRIu64
-              " us)\n",
-              stats.total.queries,
-              stats.total.query_micros.quantile_micros(0.50),
-              stats.total.query_micros.quantile_micros(0.99));
-  std::printf("consistency pts:   %" PRIu64 " (p99 %" PRIu64 " us)\n",
-              stats.total.cps, stats.total.cp_micros.quantile_micros(0.99));
-  std::printf("maintenance:       %" PRIu64 " runs, %" PRIu64 " skipped probes\n",
-              stats.total.maintenance_runs, stats.total.maintenance_skipped);
-  std::printf("io:                %" PRIu64 " page reads, %" PRIu64
-              " page writes\n",
-              stats.total.io.page_reads, stats.total.io.page_writes);
-  std::printf("%-12s %6s %10s %8s %8s %10s %12s\n", "tenant", "shard", "ops",
-              "cps", "queries", "maint", "page_writes");
-  for (const auto& [name, ts] : stats.tenants) {
-    std::printf("%-12s %6zu %10" PRIu64 " %8" PRIu64 " %8" PRIu64 " %10" PRIu64
-                " %12" PRIu64 "\n",
-                name.c_str(), ts.shard, ts.updates, ts.cps, ts.queries,
-                ts.maintenance_runs, ts.io.page_writes);
+  std::fputs(dial().stats_text(false).c_str(), stdout);
+  return 0;
+}
+
+int run_trace(const Cmd& c) {
+  net::Client cl = dial();
+  cl.set_tracing(static_cast<std::uint32_t>(c.sample), c.slow_us);
+  const std::uint64_t per_tenant =
+      std::max<std::uint64_t>(1, c.ops / c.tenants);
+  for (std::uint64_t i = 0; i < c.tenants; ++i) {
+    drive_tenant(cl, i, per_tenant, 64);
   }
-  // Leave the volumes cleanly closed (flushes anything still buffered).
-  for (const auto& name : vm.tenants()) vm.close_volume(name);
+  std::fputs(cl.trace_text(c.sample, c.slow_us).c_str(), stdout);
   return 0;
 }
 
-int cmd_snap(const char* root, const std::string& tenant, core::LineId line) {
-  service::VolumeManager vm(service_options(root, 1));
-  vm.open_volume(tenant);
-  const core::Epoch version = vm.take_snapshot(tenant, line).get();
-  std::printf("retained snapshot (line %" PRIu64 ", v%" PRIu64 ") of %s\n",
-              line, version, tenant.c_str());
-  vm.close_volume(tenant);
-  return 0;
-}
-
-int cmd_clone(const char* root, const std::string& src, const std::string& dst,
-              core::LineId line, std::uint64_t version_or_latest) {
-  service::VolumeManager vm(service_options(root, 1));
-  vm.open_volume(src);
-  core::Epoch version = version_or_latest;
+int run_clone(const Cmd& c) {
+  net::Client cl = dial();
+  cl.open_volume(c.tenant);
+  core::Epoch version = c.version;
   if (version == 0) {  // default: the latest retained snapshot of the line
-    const auto versions = vm.list_versions(src, line).get();
+    const auto versions = cl.list_versions(c.tenant, c.line);
     if (versions.empty()) {
       std::fprintf(stderr,
                    "backlogctl: %s line %" PRIu64
                    " has no retained snapshot (run `backlogctl snap` first)\n",
-                   src.c_str(), line);
+                   c.tenant.c_str(), c.line);
       return 1;
     }
     version = versions.back();
   }
-  const core::LineId new_line = vm.clone_volume(src, dst, line, version);
+  const auto res = cl.clone_volume(c.tenant, c.dst, c.line, version);
   std::printf("cloned %s snapshot (line %" PRIu64 ", v%" PRIu64
               ") -> tenant %s, writable line %" PRIu64 "\n",
-              src.c_str(), line, version, dst.c_str(), new_line);
-  const core::FileManifest::Stats fs = vm.shared_files().stats();
+              c.tenant.c_str(), c.line, version, c.dst.c_str(), res.new_line);
   std::printf("copy-on-write: %" PRIu64 " shared files, %" PRIu64
               " shared bytes (%.2f MB stored once instead of per clone)\n",
-              fs.shared_files, fs.shared_bytes,
-              fs.saved_bytes / (1024.0 * 1024.0));
-  vm.close_volume(dst);
-  vm.close_volume(src);
+              res.shared_files, res.shared_bytes,
+              res.saved_bytes / (1024.0 * 1024.0));
   return 0;
 }
 
-int cmd_destroy(const char* root, const std::string& tenant,
-                std::size_t shards) {
-  // A destructive verb must never *create* its target: open_volume would
-  // happily materialize an empty directory for a typo'd name and report
-  // "destroyed" with nothing deleted.
-  if (!std::filesystem::is_directory(std::filesystem::path(root) / tenant)) {
-    std::fprintf(stderr, "backlogctl: no volume '%s' under %s\n",
-                 tenant.c_str(), root);
-    return 1;
+int run_migrate(const Cmd& c) {
+  net::Client cl = dial();
+  cl.open_volume(c.tenant);
+  const core::QuickStats before = cl.quick_stats(c.tenant);
+  const service::MigrationStats ms = cl.migrate_volume(c.tenant, c.to_shard);
+  if (!ms.moved) {
+    std::printf("%s already lives on shard %zu — nothing to do\n",
+                c.tenant.c_str(), ms.source_shard);
+  } else {
+    std::printf("migrated %s: shard %zu -> %zu (%s, %zu racing ops replayed)\n",
+                c.tenant.c_str(), ms.source_shard, ms.target_shard,
+                ms.forced_cp ? "flushed a consistency point"
+                             : "write store empty",
+                ms.replayed_tasks);
   }
-  service::VolumeManager vm(service_options(root, shards));
-  vm.open_volume(tenant);
-  const auto before = vm.shared_files().stats();
-  vm.destroy_volume(tenant);
-  const auto after = vm.shared_files().stats();
-  std::printf("destroyed %s: released %" PRIu64
-              " shared-file references; %" PRIu64 " files still shared "
-              "elsewhere\n",
-              tenant.c_str(),
-              before.shared_files >= after.shared_files
-                  ? before.shared_files - after.shared_files
-                  : 0,
-              after.shared_files);
+  const core::QuickStats after = cl.quick_stats(c.tenant);
+  std::printf("write store: %" PRIu64 " -> %" PRIu64 " entries, run records: %"
+              PRIu64 " -> %" PRIu64 "\n",
+              before.ws_entries, after.ws_entries, before.run_records,
+              after.run_records);
   return 0;
 }
 
-int cmd_qos(const char* root, const std::string& tenant,
-            std::uint64_t ops_per_sec, std::uint64_t bytes_per_sec,
-            std::uint64_t ops) {
-  service::VolumeManager vm(service_options(root, 1));
-  vm.open_volume(tenant);
-
+int run_qos(const Cmd& c) {
+  net::Client cl = dial();
+  cl.open_volume(c.tenant);
   service::TenantQos qos;
-  qos.ops_per_sec = ops_per_sec == 0 ? service::kUnlimitedRate
-                                     : static_cast<double>(ops_per_sec);
-  qos.bytes_per_sec = bytes_per_sec == 0 ? service::kUnlimitedRate
-                                         : static_cast<double>(bytes_per_sec);
+  qos.ops_per_sec = c.ops_rate == 0 ? service::kUnlimitedRate
+                                    : static_cast<double>(c.ops_rate);
+  qos.bytes_per_sec = c.bytes_rate == 0 ? service::kUnlimitedRate
+                                        : static_cast<double>(c.bytes_rate);
   qos.burst_ops = 256;
   qos.burst_bytes = 1 << 20;
   qos.max_wait_queue = 1 << 16;
-  vm.set_qos(tenant, qos);
+  cl.set_qos(c.tenant, qos);
+  const auto rate = [](std::uint64_t r) {
+    return r == 0 ? std::string("unlimited") : std::to_string(r);
+  };
   std::printf("qos on %s: %s ops/s, %s bytes/s (burst %g ops / %g bytes)\n",
-              tenant.c_str(),
-              ops_per_sec == 0 ? "unlimited" : std::to_string(ops_per_sec).c_str(),
-              bytes_per_sec == 0 ? "unlimited" : std::to_string(bytes_per_sec).c_str(),
-              qos.burst_ops, qos.burst_bytes);
+              c.tenant.c_str(), rate(c.ops_rate).c_str(),
+              rate(c.bytes_rate).c_str(), qos.burst_ops, qos.burst_bytes);
 
+  // One op per request, synchronously: a throttled op comes back as a
+  // kThrottled ServiceError.
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::future<void>> futs;
-  futs.reserve(ops);
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    service::UpdateOp op;
-    op.kind = service::UpdateOp::Kind::kAdd;
-    op.key.block = 1 + i;
-    op.key.inode = 2;
-    op.key.length = 1;
-    futs.push_back(vm.apply(tenant, {op}));
-  }
   std::uint64_t rejected = 0;
-  for (auto& f : futs) {
+  for (std::uint64_t i = 0; i < c.ops; ++i) {
     try {
-      f.get();
-    } catch (const service::ServiceError&) {
+      cl.apply_batch(c.tenant, {add_op(1 + i)});
+    } catch (const service::ServiceError& e) {
+      if (e.code() != service::ErrorCode::kThrottled) throw;
       ++rejected;
     }
   }
-  vm.consistency_point(tenant).get();
+  cl.consistency_point(c.tenant);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  const service::QosSnapshot snap = vm.qos(tenant);
-  std::printf("drove %" PRIu64 " ops in %.2f s (%.0f ops/s effective)\n", ops,
-              wall, wall > 0 ? static_cast<double>(ops - rejected) / wall : 0);
+  const service::QosSnapshot snap = cl.qos_snapshot(c.tenant);
+  std::printf("drove %" PRIu64 " ops in %.2f s (%.0f ops/s effective)\n",
+              c.ops, wall,
+              wall > 0 ? static_cast<double>(c.ops - rejected) / wall : 0);
   std::printf("admission: %" PRIu64 " direct, %" PRIu64 " waited, %" PRIu64
               " released, %" PRIu64 " rejected (kThrottled)\n",
               snap.admitted, snap.queued, snap.released, snap.rejected);
-  vm.close_volume(tenant);
-  return 0;
-}
-
-/// Every directory under a service root is a volume; sorted for stable
-/// output. Empty result = nothing to operate on (callers report and exit 1).
-std::vector<std::string> discover_tenants(const char* root) {
-  std::vector<std::string> tenants;
-  for (const auto& e : std::filesystem::directory_iterator(root)) {
-    if (e.is_directory()) tenants.push_back(e.path().filename().string());
-  }
-  std::sort(tenants.begin(), tenants.end());
-  return tenants;
-}
-
-int cmd_balance(const char* root, std::size_t shards, std::uint64_t cycles) {
-  const std::vector<std::string> tenants = discover_tenants(root);
-  if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes under %s\n", root);
-    return 1;
-  }
-
-  service::ServiceOptions so = service_options(root, shards);
-  so.sync_writes = false;  // the pulse below annihilates in the write store
-  service::VolumeManager vm(so);
-  for (const auto& t : tenants) vm.open_volume(t);
-
-  service::BalancerPolicy bp;
-  bp.latency_weighted = false;
-  bp.cooldown = std::chrono::milliseconds(0);
-  bp.min_load_to_act = 1;
-  bp.max_moves_per_cycle = 2;
-  service::Balancer balancer(vm, bp);
-
-  std::printf("%zu volumes on %zu shards; %" PRIu64 " balancer cycles\n",
-              tenants.size(), shards, cycles);
-  // Synthetic pulse: per volume, add+remove of a fresh key annihilates in
-  // the write store, so the load is real but the volume is left unchanged.
-  core::BlockNo probe = 1ull << 40;
-  for (std::uint64_t c = 0; c <= cycles; ++c) {
-    std::vector<std::future<void>> futs;
-    for (const auto& t : tenants) {
-      for (int i = 0; i < 16; ++i) {
-        service::UpdateOp a;
-        a.kind = service::UpdateOp::Kind::kAdd;
-        a.key.block = probe++;
-        a.key.inode = 2;
-        a.key.length = 1;
-        service::UpdateOp r = a;
-        r.kind = service::UpdateOp::Kind::kRemove;
-        futs.push_back(vm.apply(t, {a, r}));
-      }
-    }
-    for (auto& f : futs) f.get();
-    if (c == 0) {
-      balancer.run_once();  // first sighting primes the rate counters
-      continue;
-    }
-    const auto moves = balancer.run_once();
-    for (const auto& m : moves) {
-      std::printf("cycle %" PRIu64 ": moved %s shard %zu -> %zu "
-                  "(imbalance %.3f -> %.3f)\n",
-                  c, m.tenant.c_str(), m.from_shard, m.to_shard,
-                  m.imbalance_before, m.imbalance_after);
-    }
-    if (moves.empty()) {
-      std::printf("cycle %" PRIu64 ": balanced (imbalance %.3f)\n", c,
-                  balancer.last_imbalance());
-    }
-  }
-
-  std::printf("%-20s %6s\n", "tenant", "shard");
-  for (const auto& p : vm.placements()) {
-    std::printf("%-20s %6zu\n", p.tenant.c_str(), p.shard);
-  }
-  std::printf("moves: %" PRIu64 ", final imbalance %.3f\n", balancer.moves(),
-              balancer.last_imbalance());
-  for (const auto& t : tenants) vm.close_volume(t);
-  return 0;
-}
-
-int cmd_stats(const char* root, std::size_t shards, bool json) {
-  const std::vector<std::string> tenants = discover_tenants(root);
-  if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes under %s\n", root);
-    return 1;
-  }
-  service::VolumeManager vm(service_options(root, shards));
-  for (const auto& t : tenants) vm.open_volume(t);
-  std::fputs(net::render_stats(vm.stats(), json).c_str(), stdout);
-  for (const auto& t : tenants) vm.close_volume(t);
-  return 0;
-}
-
-int cmd_cache(const char* root, std::size_t shards, bool json, bool clear) {
-  const std::vector<std::string> tenants = discover_tenants(root);
-  if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes under %s\n", root);
-    return 1;
-  }
-  service::VolumeManager vm(service_options(root, shards));
-  for (const auto& t : tenants) vm.open_volume(t);
-  if (clear) {
-    vm.clear_caches();
-    std::fputs("caches cleared\n", stdout);
-  }
-  std::fputs(net::render_cache(vm.cache_stats(), json).c_str(), stdout);
-  for (const auto& t : tenants) vm.close_volume(t);
   return 0;
 }
 
 /// One `metrics --watch` rate line. A sample with primed=false has no
 /// previous poll to difference against — its zeros are "unknown", not
-/// "idle" — so it is labeled instead of printed as rates (used by both the
-/// local watch loop and the --connect one, where the daemon's poller really
-/// can be unprimed).
+/// "idle" — so it is labeled instead of printed as rates.
 void print_rate_window(const service::RateSample& s) {
   if (!s.primed) {
     std::printf("window %.3fs: priming (no previous sample yet)\n",
@@ -560,812 +526,118 @@ void print_rate_window(const service::RateSample& s) {
               s.throttles_per_sec, 100.0 * busy);
 }
 
-int cmd_metrics(const char* root, std::size_t shards, bool json,
-                std::uint64_t watch) {
-  const std::vector<std::string> tenants = discover_tenants(root);
+int run_metrics(const Cmd& c) {
+  net::Client cl = dial();
+  const std::vector<std::string> tenants = cl.list_tenants();
   if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes under %s\n", root);
+    std::fprintf(stderr, "backlogctl: no volumes hosted\n");
     return 1;
   }
-  service::ServiceOptions so = service_options(root, shards);
-  so.sync_writes = false;  // the pulse below annihilates in the write store
-  service::VolumeManager vm(so);
-  for (const auto& t : tenants) vm.open_volume(t);
-
-  // Synthetic annihilating pulse (same trick as `balance`): real dispatch
-  // load, volumes left byte-identical.
-  core::BlockNo probe = 1ull << 40;
-  const auto pulse = [&] {
-    std::vector<std::future<void>> futs;
-    for (const auto& t : tenants) {
-      for (int i = 0; i < 16; ++i) {
-        service::UpdateOp a;
-        a.kind = service::UpdateOp::Kind::kAdd;
-        a.key.block = probe++;
-        a.key.inode = 2;
-        a.key.length = 1;
-        service::UpdateOp r = a;
-        r.kind = service::UpdateOp::Kind::kRemove;
-        futs.push_back(vm.apply(t, {a, r}));
-      }
-    }
-    for (auto& f : futs) f.get();
-  };
-
-  service::MetricsPoller poller(vm, std::chrono::milliseconds(100));
-  pulse();
-  poller.poll_once();  // prime the rate window
-  for (std::uint64_t w = 0; w < std::max<std::uint64_t>(1, watch); ++w) {
-    pulse();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    const service::RateSample s = poller.poll_once();
-    if (watch > 0) print_rate_window(s);
-  }
-
-  const std::string out =
-      json ? vm.metrics().to_json() : vm.metrics().to_prometheus();
-  std::fputs(out.c_str(), stdout);
-  if (json) std::fputs("\n", stdout);
-  for (const auto& t : tenants) vm.close_volume(t);
-  return 0;
-}
-
-int cmd_trace(const char* dir, std::uint64_t tenants, std::uint64_t total_ops,
-              std::uint64_t shards, std::uint64_t sample,
-              std::uint64_t slow_us) {
-  service::ServiceOptions so;
-  so.shards = shards;
-  so.root = dir;
-  so.sync_writes = false;
-  so.trace_sample_every = static_cast<std::uint32_t>(sample);
-  so.slow_op_micros = slow_us;
-  service::VolumeManager vm(so);
-
-  std::vector<fsim::TenantWorkload> workloads;
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof name, "tenant-%03llu",
-                  static_cast<unsigned long long>(i));
-    vm.open_volume(name);
-    fsim::TenantTraceOptions to;
-    to.block_ops = std::max<std::uint64_t>(1, total_ops / tenants);
-    to.seed = 42 + i;
-    workloads.push_back({name, fsim::synthesize_tenant_trace(to)});
-  }
-  fsim::ReplayOptions ro;
-  ro.query_every_ops = 64;
-  fsim::replay_concurrently(vm, workloads, ro);
-
-  std::fputs(net::render_trace(vm.trace_spans(), vm.slow_ops(), sample,
-                               slow_us).c_str(),
-             stdout);
-  for (const auto& name : vm.tenants()) vm.close_volume(name);
-  return 0;
-}
-
-int cmd_migrate(const char* root, const std::string& tenant,
-                std::size_t target, std::size_t shards) {
-  service::VolumeManager vm(service_options(root, shards));
-  vm.open_volume(tenant);
-  const auto before = vm.quick_stats(tenant).get();
-  const service::MigrationStats ms = vm.migrate_volume(tenant, target);
-  if (!ms.moved) {
-    std::printf("%s already lives on shard %zu of %zu — nothing to do\n",
-                tenant.c_str(), ms.source_shard, shards);
-  } else {
-    std::printf("migrated %s: shard %zu -> %zu (%s, %zu racing ops replayed)\n",
-                tenant.c_str(), ms.source_shard, ms.target_shard,
-                ms.forced_cp ? "flushed a consistency point" : "write store empty",
-                ms.replayed_tasks);
-  }
-  const auto after = vm.quick_stats(tenant).get();
-  std::printf("write store: %" PRIu64 " -> %" PRIu64 " entries, run records: %"
-              PRIu64 " -> %" PRIu64 "\n",
-              before.ws_entries, after.ws_entries, before.run_records,
-              after.run_records);
-  vm.close_volume(tenant);
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Remote mode (`--connect host:port`). Same subcommands, same arity checks,
-// same output — but every operation is a wire round trip to a backlogd.
-// Reports come back pre-rendered (the server runs the same render.hpp
-// functions the local path uses); the driving commands (stress, qos,
-// metrics, trace) generate their load client-side and push it through the
-// typed batch verbs, which is exactly what makes them a loopback/network
-// exercise of the data plane.
-// ---------------------------------------------------------------------------
-
-std::string stress_tenant_name(std::uint64_t i) {
-  char name[32];
-  std::snprintf(name, sizeof name, "tenant-%03llu",
-                static_cast<unsigned long long>(i));
-  return name;
-}
-
-int rcmd_stress(const std::string& host, std::uint16_t port,
-                std::uint64_t tenants, std::uint64_t total_ops,
-                std::uint64_t batch) {
-  // The wire data plane only speaks apply_batch; --batch sizes the chunks
-  // (default 64 — a per-op round trip would measure nothing but latency).
-  const std::uint64_t chunk =
-      std::min<std::uint64_t>(batch == 0 ? 64 : batch, net::wire::kMaxBatchOps);
-  const std::uint64_t per_tenant =
-      std::max<std::uint64_t>(1, total_ops / tenants);
-
-  std::vector<std::thread> threads;
-  std::vector<std::uint64_t> ops_done(tenants, 0);
-  std::vector<std::string> errors(tenants);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        net::Client c;  // one connection per tenant thread (Client is not
-        c.connect(host, port, g_connect_opts);  // thread-safe by design)
-        const std::string name = stress_tenant_name(i);
-        c.open_volume(name);
-        fsim::TenantTraceOptions to;
-        to.block_ops = per_tenant;
-        to.seed = 42 + i;
-        const fsim::TenantTrace trace = fsim::synthesize_tenant_trace(to);
-        std::vector<service::UpdateOp> pending;
-        pending.reserve(chunk);
-        std::uint64_t since_query = 0;
-        for (const auto& op : trace.ops) {
-          pending.push_back(op);
-          if (pending.size() < chunk) continue;
-          c.apply_batch(name, pending);
-          ops_done[i] += pending.size();
-          since_query += pending.size();
-          pending.clear();
-          if (since_query >= 64) {
-            since_query = 0;
-            service::QueryRange qr;
-            qr.first = op.key.block;
-            qr.count = 8;
-            c.query_batch(name, {qr});
-          }
-        }
-        if (!pending.empty()) {
-          c.apply_batch(name, pending);
-          ops_done[i] += pending.size();
-        }
-        c.consistency_point(name);
-      } catch (const std::exception& e) {
-        errors[i] = e.what();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    if (!errors[i].empty()) {
-      std::fprintf(stderr, "backlogctl: %s: %s\n",
-                   stress_tenant_name(i).c_str(), errors[i].c_str());
-      return 1;
-    }
-  }
-  std::uint64_t ops = 0;
-  for (const std::uint64_t n : ops_done) ops += n;
-  std::printf("remote:            %s:%u\n", host.c_str(), port);
-  std::printf("tenants:           %llu (one connection each)\n",
-              static_cast<unsigned long long>(tenants));
-  std::printf("update verb:       apply_batch over TCP (%llu-op chunks)\n",
-              static_cast<unsigned long long>(chunk));
-  std::printf("block ops:         %" PRIu64 " in %.2f s (%.0f ops/s)\n", ops,
-              wall, wall > 0 ? ops / wall : 0.0);
-  net::Client c;
-  c.connect(host, port, g_connect_opts);
-  std::fputs(c.stats_text(false).c_str(), stdout);
-  return 0;
-}
-
-int rcmd_qos(net::Client& c, const std::string& tenant,
-             std::uint64_t ops_per_sec, std::uint64_t bytes_per_sec,
-             std::uint64_t ops) {
-  c.open_volume(tenant);
-  service::TenantQos qos;
-  qos.ops_per_sec = ops_per_sec == 0 ? service::kUnlimitedRate
-                                     : static_cast<double>(ops_per_sec);
-  qos.bytes_per_sec = bytes_per_sec == 0 ? service::kUnlimitedRate
-                                         : static_cast<double>(bytes_per_sec);
-  qos.burst_ops = 256;
-  qos.burst_bytes = 1 << 20;
-  qos.max_wait_queue = 1 << 16;
-  c.set_qos(tenant, qos);
-  std::printf("qos on %s: %s ops/s, %s bytes/s (burst %g ops / %g bytes)\n",
-              tenant.c_str(),
-              ops_per_sec == 0 ? "unlimited" : std::to_string(ops_per_sec).c_str(),
-              bytes_per_sec == 0 ? "unlimited" : std::to_string(bytes_per_sec).c_str(),
-              qos.burst_ops, qos.burst_bytes);
-
-  // One op per request, synchronously: a throttled op comes back as a
-  // kThrottled ServiceError exactly like the in-process future would throw.
-  const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t rejected = 0;
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    service::UpdateOp op;
-    op.kind = service::UpdateOp::Kind::kAdd;
-    op.key.block = 1 + i;
-    op.key.inode = 2;
-    op.key.length = 1;
-    try {
-      c.apply_batch(tenant, {op});
-    } catch (const service::ServiceError& e) {
-      if (e.code() != service::ErrorCode::kThrottled) throw;
-      ++rejected;
-    }
-  }
-  c.consistency_point(tenant);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  const service::QosSnapshot snap = c.qos_snapshot(tenant);
-  std::printf("drove %" PRIu64 " ops in %.2f s (%.0f ops/s effective)\n", ops,
-              wall, wall > 0 ? static_cast<double>(ops - rejected) / wall : 0);
-  std::printf("admission: %" PRIu64 " direct, %" PRIu64 " waited, %" PRIu64
-              " released, %" PRIu64 " rejected (kThrottled)\n",
-              snap.admitted, snap.queued, snap.released, snap.rejected);
-  return 0;
-}
-
-int rcmd_metrics(net::Client& c, const std::string& host, std::uint16_t port,
-                 bool json, std::uint64_t watch) {
-  const std::vector<std::string> tenants = c.list_tenants();
-  if (tenants.empty()) {
-    std::fprintf(stderr, "backlogctl: no volumes hosted by %s:%u\n",
-                 host.c_str(), port);
-    return 1;
-  }
-  // Same annihilating pulse as the local command, shipped as one batch per
-  // tenant (adds + removes cancel in the write store).
+  // Synthetic pulse, one batch per tenant: each add is followed by its
+  // remove, so they annihilate in the write store — real dispatch load,
+  // volumes left unchanged.
   core::BlockNo probe = 1ull << 40;
   const auto pulse = [&] {
     for (const auto& t : tenants) {
       std::vector<service::UpdateOp> batch;
-      batch.reserve(32);
       for (int i = 0; i < 16; ++i) {
-        service::UpdateOp a;
-        a.kind = service::UpdateOp::Kind::kAdd;
-        a.key.block = probe++;
-        a.key.inode = 2;
-        a.key.length = 1;
-        service::UpdateOp r = a;
-        r.kind = service::UpdateOp::Kind::kRemove;
-        batch.push_back(a);
-        batch.push_back(r);
+        const service::UpdateOp add = add_op(probe++);
+        service::UpdateOp remove = add;
+        remove.kind = service::UpdateOp::Kind::kRemove;
+        batch.push_back(add);
+        batch.push_back(remove);
       }
-      c.apply_batch(t, batch);
+      cl.apply_batch(t, batch);
     }
   };
   pulse();
-  // The daemon's poller may never have been polled: the priming sample
-  // carries primed=false and is labeled, not misread as an idle service.
-  const service::RateSample first = c.poll_rates();
-  if (!first.primed && watch > 0) {
-    std::printf("window %.3fs: priming (no previous sample yet)\n",
-                first.window_seconds);
-  }
-  for (std::uint64_t w = 0; w < std::max<std::uint64_t>(1, watch); ++w) {
+  // The server's poller may never have been polled: the priming sample is
+  // labeled, not misread as an idle service.
+  const service::RateSample first = cl.poll_rates();
+  if (!first.primed && c.watch > 0) print_rate_window(first);
+  for (std::uint64_t w = 0; w < std::max<std::uint64_t>(1, c.watch); ++w) {
     pulse();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    const service::RateSample s = c.poll_rates();
-    if (watch > 0) print_rate_window(s);
+    const service::RateSample s = cl.poll_rates();
+    if (c.watch > 0) print_rate_window(s);
   }
-  std::fputs(c.metrics_text(json).c_str(), stdout);
+  std::fputs(cl.metrics_text(c.json).c_str(), stdout);
   return 0;
 }
 
-int rcmd_trace(const std::string& host, std::uint16_t port,
-               std::uint64_t tenants, std::uint64_t total_ops,
-               std::uint64_t sample, std::uint64_t slow_us) {
-  net::Client c;
-  c.connect(host, port, g_connect_opts);
-  c.set_tracing(static_cast<std::uint32_t>(sample), slow_us);
-  const std::uint64_t per_tenant =
-      std::max<std::uint64_t>(1, total_ops / tenants);
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    const std::string name = stress_tenant_name(i);
-    c.open_volume(name);
-    fsim::TenantTraceOptions to;
-    to.block_ops = per_tenant;
-    to.seed = 42 + i;
-    const fsim::TenantTrace trace = fsim::synthesize_tenant_trace(to);
-    std::vector<service::UpdateOp> pending;
-    for (const auto& op : trace.ops) {
-      pending.push_back(op);
-      if (pending.size() < 64) continue;
-      c.apply_batch(name, pending);
-      pending.clear();
-      service::QueryRange qr;
-      qr.first = op.key.block;
-      qr.count = 8;
-      c.query_batch(name, {qr});
+int run_service(const Cmd& c) {
+  const std::string& m = c.name;
+  if (m == "stress") return run_stress(c);
+  if (m == "trace") return run_trace(c);
+  if (m == "clone") return run_clone(c);
+  if (m == "migrate") return run_migrate(c);
+  if (m == "qos") return run_qos(c);
+  if (m == "metrics") return run_metrics(c);
+  net::Client cl = dial();
+  if (m == "snap") {
+    cl.open_volume(c.tenant);
+    const core::Epoch version = cl.take_snapshot(c.tenant, c.line);
+    std::printf("retained snapshot (line %" PRIu64 ", v%" PRIu64 ") of %s\n",
+                c.line, version, c.tenant.c_str());
+  } else if (m == "destroy") {
+    const auto res = cl.destroy_volume(c.tenant);
+    std::printf("destroyed %s: released %" PRIu64
+                " shared-file references; %" PRIu64
+                " files still shared elsewhere\n",
+                c.tenant.c_str(), res.released_refs, res.shared_files);
+  } else if (m == "balance") {
+    std::fputs(cl.balance_text(c.cycles).c_str(), stdout);
+  } else if (m == "stats") {
+    std::fputs(cl.stats_text(c.json).c_str(), stdout);
+  } else {  // cache
+    if (c.clear) {
+      cl.cache_clear();
+      std::fputs("caches cleared\n", stdout);
     }
-    if (!pending.empty()) c.apply_batch(name, pending);
+    std::fputs(cl.cache_text(c.json).c_str(), stdout);
   }
-  std::fputs(c.trace_text(sample, slow_us).c_str(), stdout);
   return 0;
-}
-
-/// `--connect` dispatch: argv is shifted so argv[1] is the subcommand and
-/// positionals line up with the local layout. Every argument is validated
-/// with the local rules *before* a byte hits the network — a malformed
-/// remote invocation exits 2 without connecting.
-int remote_main(const std::string& host, std::uint16_t port, int argc,
-                char** argv) {
-  if (argc < 3) return usage();
-  const std::string cmd = argv[1];
-  try {
-    if (cmd == "stress") {
-      std::uint64_t batch = 0;
-      int end = argc;
-      if (argc >= 7 && std::strcmp(argv[argc - 2], "--batch") == 0) {
-        if (!parse_u64(argv[argc - 1], batch, 1, 1 << 20)) return usage();
-        end = argc - 2;
-      }
-      std::uint64_t tenants = 0, ops = 0, shards = 4;
-      if (end < 5 || end > 6 || !parse_u64(argv[3], tenants, 1, 1 << 16) ||
-          !parse_u64(argv[4], ops, 1) ||
-          (end > 5 && !parse_u64(argv[5], shards, 1, 1024))) {
-        return usage();
-      }
-      (void)shards;  // the daemon's shard count applies remotely
-      return rcmd_stress(host, port, tenants, ops, batch);
-    }
-    if (cmd == "snap") {
-      std::uint64_t line = 0;
-      if (argc < 4 || argc > 5 || (argc > 4 && !parse_u64(argv[4], line)))
-        return usage();
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      c.open_volume(argv[3]);
-      const core::Epoch version = c.take_snapshot(argv[3], line);
-      std::printf("retained snapshot (line %" PRIu64 ", v%" PRIu64 ") of %s\n",
-                  line, version, argv[3]);
-      return 0;
-    }
-    if (cmd == "clone") {
-      std::uint64_t line = 0, version = 0;
-      if (argc < 5 || argc > 7 || (argc > 5 && !parse_u64(argv[5], line)) ||
-          (argc > 6 && !parse_u64(argv[6], version))) {
-        return usage();
-      }
-      const std::string src = argv[3], dst = argv[4];
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      c.open_volume(src);
-      if (version == 0) {  // default: the latest retained snapshot
-        const auto versions = c.list_versions(src, line);
-        if (versions.empty()) {
-          std::fprintf(stderr,
-                       "backlogctl: %s line %" PRIu64
-                       " has no retained snapshot (run `backlogctl snap` "
-                       "first)\n",
-                       src.c_str(), line);
-          return 1;
-        }
-        version = versions.back();
-      }
-      const auto res = c.clone_volume(src, dst, line, version);
-      std::printf("cloned %s snapshot (line %" PRIu64 ", v%" PRIu64
-                  ") -> tenant %s, writable line %" PRIu64 "\n",
-                  src.c_str(), line, version, dst.c_str(), res.new_line);
-      std::printf("copy-on-write: %" PRIu64 " shared files, %" PRIu64
-                  " shared bytes (%.2f MB stored once instead of per clone)\n",
-                  res.shared_files, res.shared_bytes,
-                  res.saved_bytes / (1024.0 * 1024.0));
-      return 0;
-    }
-    if (cmd == "destroy") {
-      std::uint64_t shards = 1;
-      if (argc < 4 || argc > 5 ||
-          (argc > 4 && !parse_u64(argv[4], shards, 1, 1024))) {
-        return usage();
-      }
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      try {
-        c.destroy_volume(argv[3]);
-      } catch (const service::ServiceError& e) {
-        if (e.code() == service::ErrorCode::kNoSuchTenant) {
-          std::fprintf(stderr, "backlogctl: no volume '%s' hosted by %s:%u\n",
-                       argv[3], host.c_str(), port);
-          return 1;
-        }
-        throw;
-      }
-      std::printf("destroyed %s\n", argv[3]);
-      return 0;
-    }
-    if (cmd == "migrate") {
-      std::uint64_t target = 0, shards = 4;
-      if (argc < 5 || argc > 6 || !parse_u64(argv[4], target) ||
-          (argc > 5 && !parse_u64(argv[5], shards, 1, 1024))) {
-        return usage();
-      }
-      // target-vs-shard-count is the daemon's call (its shard count rules);
-      // out of range comes back as kBadRequest.
-      (void)shards;
-      const std::string tenant = argv[3];
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      c.open_volume(tenant);
-      const core::QuickStats before = c.quick_stats(tenant);
-      const service::MigrationStats ms = c.migrate_volume(tenant, target);
-      if (!ms.moved) {
-        std::printf("%s already lives on shard %zu — nothing to do\n",
-                    tenant.c_str(), ms.source_shard);
-      } else {
-        std::printf(
-            "migrated %s: shard %zu -> %zu (%s, %zu racing ops replayed)\n",
-            tenant.c_str(), ms.source_shard, ms.target_shard,
-            ms.forced_cp ? "flushed a consistency point" : "write store empty",
-            ms.replayed_tasks);
-      }
-      const core::QuickStats after = c.quick_stats(tenant);
-      std::printf("write store: %" PRIu64 " -> %" PRIu64
-                  " entries, run records: %" PRIu64 " -> %" PRIu64 "\n",
-                  before.ws_entries, after.ws_entries, before.run_records,
-                  after.run_records);
-      return 0;
-    }
-    if (cmd == "qos") {
-      std::uint64_t ops_rate = 0, bytes_rate = 0, ops = 2000;
-      if (argc < 6 || argc > 7 || !parse_u64(argv[4], ops_rate) ||
-          !parse_u64(argv[5], bytes_rate) ||
-          (argc > 6 && !parse_u64(argv[6], ops, 1))) {
-        return usage();
-      }
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      return rcmd_qos(c, argv[3], ops_rate, bytes_rate, ops);
-    }
-    if (cmd == "balance") {
-      std::uint64_t shards = 0, cycles = 3;
-      if (argc < 4 || argc > 5 || !parse_u64(argv[3], shards, 1, 1024) ||
-          (argc > 4 && !parse_u64(argv[4], cycles, 1, 1 << 20))) {
-        return usage();
-      }
-      net::Client c;  // the cycle runs entirely server-side (kBalanceText)
-      c.connect(host, port, g_connect_opts);
-      std::fputs(c.balance_text(cycles).c_str(), stdout);
-      return 0;
-    }
-    if (cmd == "stats") {
-      std::uint64_t shards = 1;
-      bool json = false, have_shards = false;
-      for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && !json) {
-          json = true;
-        } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-          have_shards = true;
-        } else {
-          return usage();
-        }
-      }
-      (void)shards;
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      std::fputs(c.stats_text(json).c_str(), stdout);
-      return 0;
-    }
-    if (cmd == "metrics") {
-      std::uint64_t shards = 1, watch = 0;
-      bool json = false, prom = false, have_shards = false;
-      for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && !json && !prom) {
-          json = true;
-        } else if (std::strcmp(argv[i], "--prom") == 0 && !json && !prom) {
-          prom = true;
-        } else if (std::strcmp(argv[i], "--watch") == 0 && watch == 0 &&
-                   i + 1 < argc) {
-          if (!parse_u64(argv[++i], watch, 1, 1 << 20)) return usage();
-        } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-          have_shards = true;
-        } else {
-          return usage();
-        }
-      }
-      (void)shards;
-      (void)prom;  // Prometheus exposition is the remote default too
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      return rcmd_metrics(c, host, port, json, watch);
-    }
-    if (cmd == "cache") {
-      // Same shapes as the local form; <root> is kept for symmetry but the
-      // daemon operates on its own root.
-      const bool clear = argc > 2 && std::strcmp(argv[2], "clear") == 0;
-      const int root_at = clear ? 3 : 2;
-      if (argc <= root_at) return usage();
-      std::uint64_t shards = 1;
-      bool json = false, have_shards = false;
-      for (int i = root_at + 1; i < argc; ++i) {
-        if (!clear && std::strcmp(argv[i], "--json") == 0 && !json) {
-          json = true;
-        } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-          have_shards = true;
-        } else {
-          return usage();
-        }
-      }
-      (void)shards;
-      net::Client c;
-      c.connect(host, port, g_connect_opts);
-      if (clear) {
-        c.cache_clear();
-        std::fputs("caches cleared\n", stdout);
-      }
-      std::fputs(c.cache_text(json).c_str(), stdout);
-      return 0;
-    }
-    if (cmd == "trace") {
-      std::uint64_t tenants = 0, ops = 0, shards = 2, sample = 1,
-                    slow_us = 1000;
-      if (argc < 5 || !parse_u64(argv[3], tenants, 1, 1 << 16) ||
-          !parse_u64(argv[4], ops, 1)) {
-        return usage();
-      }
-      bool have_shards = false;
-      for (int i = 5; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
-          if (!parse_u64(argv[++i], sample, 1, 1u << 30)) return usage();
-        } else if (std::strcmp(argv[i], "--slow-us") == 0 && i + 1 < argc) {
-          if (!parse_u64(argv[++i], slow_us, 1)) return usage();
-        } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-          have_shards = true;
-        } else {
-          return usage();
-        }
-      }
-      (void)shards;
-      return rcmd_trace(host, port, tenants, ops, sample, slow_us);
-    }
-    const bool known_volume_cmd = cmd == "info" || cmd == "runs" ||
-                                  cmd == "scan" || cmd == "maintain" ||
-                                  cmd == "query" || cmd == "raw" ||
-                                  cmd == "dump-run";
-    if (!known_volume_cmd) return usage();
-    std::uint64_t block = 0, count = 1;
-    if (cmd == "query" || cmd == "raw") {
-      if (argc < 4 || argc > 5 || !parse_u64(argv[3], block) ||
-          (argc > 4 && !parse_u64(argv[4], count, 1))) {
-        return usage();
-      }
-    } else if (cmd == "dump-run") {
-      if (argc != 4) return usage();
-    } else if (argc != 3) {
-      return usage();
-    }
-    const std::string tenant = argv[2];  // where local takes a directory
-    net::Client c;
-    c.connect(host, port, g_connect_opts);
-    std::string out;
-    if (cmd == "info") {
-      out = c.info_text(tenant);
-    } else if (cmd == "runs") {
-      out = c.runs_text(tenant);
-    } else if (cmd == "scan") {
-      out = c.scan_text(tenant);
-    } else if (cmd == "maintain") {
-      out = c.maintain_text(tenant);
-    } else if (cmd == "query" || cmd == "raw") {
-      out = c.query_text(tenant, block, count, cmd == "raw");
-    } else {
-      out = c.dump_run_text(tenant, argv[3]);
-    }
-    std::fputs(out.c_str(), stdout);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "backlogctl: %s\n", e.what());
-    return 1;
-  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  if (std::strcmp(argv[1], "--connect") == 0) {
-    // --connect host:port <cmd> [args] — shift past the flag + spec so the
-    // remote dispatcher sees the same argv layout as the local one.
-    if (argc < 4) return usage();
-    std::string host;
-    std::uint16_t port = 0;
-    if (!net::parse_host_port(argv[2], host, port)) return usage();
-    int shift = 2;
-    if (argc >= 5 && std::strcmp(argv[3], "--wait-ms") == 0) {
+  bool remote = false;
+  int shift = 0;  // argv entries taken by --connect host:port [--wait-ms N]
+  if (argc >= 2 && std::strcmp(argv[1], "--connect") == 0) {
+    if (argc < 3 || !net::parse_host_port(argv[2], g_host, g_port)) {
+      return usage();
+    }
+    remote = true;
+    shift = 2;
+    if (argc >= 4 && std::strcmp(argv[3], "--wait-ms") == 0) {
       std::uint64_t wait_ms = 0;
-      if (argc < 6 || !parse_u64(argv[4], wait_ms, 0, 10 * 60 * 1000))
+      if (argc < 5 || !parse_u64(argv[4], wait_ms, 0, 10 * 60 * 1000)) {
         return usage();
+      }
       g_connect_opts.retry_for_ms = static_cast<std::uint32_t>(wait_ms);
       shift = 4;
     }
-    return remote_main(host, port, argc - shift, argv + shift);
   }
-  const std::string cmd = argv[1];
-  // Service-level commands take a service *root* (volumes live underneath).
-  // Arity and argument ranges are validated up front: a malformed
-  // invocation is a usage error (exit 2), never a half-parsed run.
-  if (cmd == "stress" || cmd == "snap" || cmd == "clone" || cmd == "destroy" ||
-      cmd == "migrate" || cmd == "qos" || cmd == "balance" || cmd == "stats" ||
-      cmd == "metrics" || cmd == "trace" || cmd == "cache") {
-    try {
-      if (cmd == "stress") {
-        // Trailing option: --batch N routes the replay through apply_batch
-        // with N-op batches (0/absent = the per-op apply loop).
-        std::uint64_t batch = 0;
-        int end = argc;
-        if (argc >= 7 && std::strcmp(argv[argc - 2], "--batch") == 0) {
-          if (!parse_u64(argv[argc - 1], batch, 1, 1 << 20)) return usage();
-          end = argc - 2;
-        }
-        std::uint64_t tenants = 0, ops = 0, shards = 4;
-        if (end < 5 || end > 6 ||
-            !parse_u64(argv[3], tenants, 1, 1 << 16) ||
-            !parse_u64(argv[4], ops, 1) ||
-            (end > 5 && !parse_u64(argv[5], shards, 1, 1024))) {
-          return usage();
-        }
-        return cmd_stress(argv[2], tenants, ops, shards, batch);
-      }
-      if (cmd == "snap") {
-        std::uint64_t line = 0;
-        if (argc < 4 || argc > 5 || (argc > 4 && !parse_u64(argv[4], line)))
-          return usage();
-        return cmd_snap(argv[2], argv[3], line);
-      }
-      if (cmd == "clone") {
-        std::uint64_t line = 0, version = 0;
-        if (argc < 5 || argc > 7 || (argc > 5 && !parse_u64(argv[5], line)) ||
-            (argc > 6 && !parse_u64(argv[6], version))) {
-          return usage();
-        }
-        return cmd_clone(argv[2], argv[3], argv[4], line, version);
-      }
-      if (cmd == "destroy") {
-        std::uint64_t shards = 1;
-        if (argc < 4 || argc > 5 ||
-            (argc > 4 && !parse_u64(argv[4], shards, 1, 1024))) {
-          return usage();
-        }
-        return cmd_destroy(argv[2], argv[3], shards);
-      }
-      if (cmd == "qos") {
-        std::uint64_t ops_rate = 0, bytes_rate = 0, ops = 2000;
-        if (argc < 6 || argc > 7 || !parse_u64(argv[4], ops_rate) ||
-            !parse_u64(argv[5], bytes_rate) ||
-            (argc > 6 && !parse_u64(argv[6], ops, 1))) {
-          return usage();
-        }
-        return cmd_qos(argv[2], argv[3], ops_rate, bytes_rate, ops);
-      }
-      if (cmd == "balance") {
-        std::uint64_t shards = 0, cycles = 3;
-        if (argc < 4 || argc > 5 || !parse_u64(argv[3], shards, 1, 1024) ||
-            (argc > 4 && !parse_u64(argv[4], cycles, 1, 1 << 20))) {
-          return usage();
-        }
-        return cmd_balance(argv[2], shards, cycles);
-      }
-      if (cmd == "stats") {
-        // stats <root> [shards] [--json] — one optional shard count, one
-        // optional flag; anything else (double flags, junk) is exit 2.
-        std::uint64_t shards = 1;
-        bool json = false, have_shards = false;
-        for (int i = 3; i < argc; ++i) {
-          if (std::strcmp(argv[i], "--json") == 0 && !json) {
-            json = true;
-          } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-            have_shards = true;
-          } else {
-            return usage();
-          }
-        }
-        return cmd_stats(argv[2], shards, json);
-      }
-      if (cmd == "metrics") {
-        std::uint64_t shards = 1, watch = 0;
-        bool json = false, prom = false, have_shards = false;
-        for (int i = 3; i < argc; ++i) {
-          if (std::strcmp(argv[i], "--json") == 0 && !json && !prom) {
-            json = true;
-          } else if (std::strcmp(argv[i], "--prom") == 0 && !json && !prom) {
-            prom = true;
-          } else if (std::strcmp(argv[i], "--watch") == 0 && watch == 0 &&
-                     i + 1 < argc) {
-            if (!parse_u64(argv[++i], watch, 1, 1 << 20)) return usage();
-          } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-            have_shards = true;
-          } else {
-            return usage();
-          }
-        }
-        return cmd_metrics(argv[2], shards, json, watch);
-      }
-      if (cmd == "cache") {
-        // cache <root> [shards] [--json]   — print the cache report
-        // cache clear <root> [shards]      — cold-cache the whole service
-        const bool clear = argc > 2 && std::strcmp(argv[2], "clear") == 0;
-        const int root_at = clear ? 3 : 2;
-        if (argc <= root_at) return usage();
-        std::uint64_t shards = 1;
-        bool json = false, have_shards = false;
-        for (int i = root_at + 1; i < argc; ++i) {
-          if (!clear && std::strcmp(argv[i], "--json") == 0 && !json) {
-            json = true;
-          } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-            have_shards = true;
-          } else {
-            return usage();
-          }
-        }
-        return cmd_cache(argv[root_at], shards, json, clear);
-      }
-      if (cmd == "trace") {
-        std::uint64_t tenants = 0, ops = 0, shards = 2, sample = 1,
-                      slow_us = 1000;
-        if (argc < 5 || !parse_u64(argv[3], tenants, 1, 1 << 16) ||
-            !parse_u64(argv[4], ops, 1)) {
-          return usage();
-        }
-        bool have_shards = false;
-        for (int i = 5; i < argc; ++i) {
-          if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
-            if (!parse_u64(argv[++i], sample, 1, 1u << 30)) return usage();
-          } else if (std::strcmp(argv[i], "--slow-us") == 0 && i + 1 < argc) {
-            if (!parse_u64(argv[++i], slow_us, 1)) return usage();
-          } else if (!have_shards && parse_u64(argv[i], shards, 1, 1024)) {
-            have_shards = true;
-          } else {
-            return usage();
-          }
-        }
-        return cmd_trace(argv[2], tenants, ops, shards, sample, slow_us);
-      }
-      std::uint64_t target = 0, shards = 4;
-      if (argc < 5 || argc > 6 || !parse_u64(argv[4], target) ||
-          (argc > 5 && !parse_u64(argv[5], shards, 1, 1024)) ||
-          target >= shards) {
-        return usage();
-      }
-      return cmd_migrate(argv[2], argv[3], target, shards);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "backlogctl: %s\n", e.what());
-      return 1;
-    }
-  }
-  const bool known_volume_cmd = cmd == "info" || cmd == "runs" ||
-                                cmd == "scan" || cmd == "maintain" ||
-                                cmd == "query" || cmd == "raw" ||
-                                cmd == "dump-run";
-  if (!known_volume_cmd) return usage();
-  // Validate arguments before touching the volume (Env creation writes).
-  std::uint64_t block = 0, count = 1;
-  if (cmd == "query" || cmd == "raw") {
-    if (argc < 4 || argc > 5 || !parse_u64(argv[3], block) ||
-        (argc > 4 && !parse_u64(argv[4], count, 1))) {
-      return usage();
-    }
-  } else if (cmd == "dump-run") {
-    if (argc != 4) return usage();
-  } else if (argc != 3) {
-    return usage();
-  }
+  Cmd c;
+  if (!parse(argc - shift, argv + shift, c)) return usage();
   try {
-    storage::Env env(argv[2]);
-    if (cmd == "info") return cmd_info(env);
-    if (cmd == "runs") return cmd_runs(env);
-    if (cmd == "scan") return cmd_scan(env);
-    if (cmd == "maintain") return cmd_maintain(env);
-    if (cmd == "query" || cmd == "raw")
-      return cmd_query(env, block, count, cmd == "raw");
-    return cmd_dump_run(env, argv[3]);
+    if (is_volume_cmd(c.name)) {
+      const std::string out =
+          remote ? volume_report_remote(c) : volume_report_local(c);
+      std::fputs(out.c_str(), stdout);
+      return 0;
+    }
+    std::optional<net::HostedRoot> hosted;
+    if (!remote) {
+      hosted.emplace(c.target, c.shards, /*commit_window_micros=*/0,
+                     net::ServerOptions{});  // 127.0.0.1, ephemeral port
+      g_host = "127.0.0.1";
+      g_port = hosted->port();
+    }
+    const int rc = run_service(c);
+    if (hosted) hosted->stop();
+    return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "backlogctl: %s\n", e.what());
     return 1;

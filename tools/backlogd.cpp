@@ -3,8 +3,10 @@
 //   backlogd <root> [--port N] [--bind ADDR] [--shards N] [--io-threads N]
 //            [--commit-window-us N]
 //
-// Hosts every volume directory under <root> in one VolumeManager and serves
-// the wire protocol (see src/net/frame.hpp) on an epoll server. Port 0 (the
+// Hosts every volume under <root> (service::discover_volumes) in one
+// VolumeManager with the WAL on and serves the wire protocol (see
+// src/net/frame.hpp) on an epoll server — net::HostedRoot, the same hosting
+// backlogctl's local mode runs for one command. Port 0 (the
 // default) binds an ephemeral port; the bound address is printed to stdout
 // as soon as the server is accepting —
 //
@@ -20,16 +22,14 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
-#include <vector>
 
 #include "net/handlers.hpp"
-#include "service/service.hpp"
+#include "util/parse.hpp"
 
 using namespace backlog;
+using util::parse_u64;
 
 namespace {
 
@@ -40,19 +40,6 @@ int usage() {
                "  --commit-window-us N   group-commit WAL window (0 = fsync "
                "per batch, the default)\n");
   return 2;
-}
-
-bool parse_u64(const char* arg, std::uint64_t& out,
-               std::uint64_t min_value = 0,
-               std::uint64_t max_value = UINT64_MAX) {
-  if (arg == nullptr || *arg == '\0' || *arg == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 0);
-  if (errno != 0 || end == arg || *end != '\0') return false;
-  if (v < min_value || v > max_value) return false;
-  out = v;
-  return true;
 }
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -110,37 +97,15 @@ int main(int argc, char** argv) {
   ::sigprocmask(SIG_BLOCK, &blocked, &orig_mask);
 
   try {
-    service::ServiceOptions so;
-    so.shards = shards;
-    so.root = root;
-    // A remote mutation must be durable when acked: every apply future
-    // resolves only once its WAL record is fsync-covered. The window
-    // amortizes one fsync over every batch on the shard (0 = per-batch).
-    so.wal_enabled = true;
-    so.wal_commit_window_micros = static_cast<std::uint32_t>(commit_window_us);
-    service::VolumeManager vm(so);
-
-    // Host whatever already lives under the root; remote kOpenVolume adds
-    // more at runtime.
-    std::vector<std::string> tenants;
-    std::filesystem::create_directories(root);
-    for (const auto& e : std::filesystem::directory_iterator(root)) {
-      if (e.is_directory() &&
-          e.path().filename().string().find('.') == std::string::npos) {
-        tenants.push_back(e.path().filename().string());
-      }
-    }
-    for (const auto& t : tenants) vm.open_volume(t);
-
-    net::ServiceEndpoint endpoint(vm);
     net::ServerOptions opts;
     opts.bind_address = bind_address;
     opts.port = static_cast<std::uint16_t>(port);
     opts.io_threads = io_threads;
-    endpoint.start(opts);
+    net::HostedRoot host(root, shards,
+                         static_cast<std::uint32_t>(commit_window_us), opts);
 
     std::printf("backlogd: listening on %s:%u (%zu volumes, %llu shards)\n",
-                bind_address.c_str(), endpoint.port(), tenants.size(),
+                bind_address.c_str(), host.port(), host.volumes(),
                 static_cast<unsigned long long>(shards));
     std::fflush(stdout);
 
@@ -153,8 +118,7 @@ int main(int argc, char** argv) {
     ::sigprocmask(SIG_SETMASK, &orig_mask, nullptr);
 
     std::fprintf(stderr, "backlogd: shutting down\n");
-    endpoint.stop();
-    for (const auto& t : vm.tenants()) vm.close_volume(t);
+    host.stop();
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "backlogd: %s\n", e.what());
